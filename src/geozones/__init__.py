@@ -12,7 +12,6 @@ from .clustering import (
     KMeansConfig,
     Labeling,
     XMeansConfig,
-    centroid_of,
     dbscan,
     format_cluster_report,
     kmeans,

@@ -5,9 +5,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import astuple
 
 from .clustering import DbscanConfig, KMeansConfig, XMeansConfig
-from .corpus import DEFAULT_KEYWORDS, BoundingBox, KeywordQuery
+from .corpus import DEFAULT_KEYWORDS, DEFAULT_STUDY_AREA, KEYWORD_MODES, BoundingBox, KeywordQuery
 from .errors import EmptyCorpusError, ZoneError
 from .ingest import ReplaySummary, replay_source
 from .pipeline import PipelineConfig, run_pipeline
@@ -27,25 +28,28 @@ def _add_common_options(parser: argparse.ArgumentParser):
         metavar="TERM",
         help=f"filter term, repeatable (default: {', '.join(DEFAULT_KEYWORDS)})",
     )
-    parser.add_argument("--keyword-mode", choices=("any", "all"), default="any")
+    parser.add_argument("--keyword-mode", choices=KEYWORD_MODES, default=KeywordQuery.mode)
     parser.add_argument(
         "--bbox",
         nargs=4,
         type=float,
         metavar=("MIN_LAT", "MAX_LAT", "MIN_LON", "MAX_LON"),
-        default=(5.90, 6.60, -75.80, -75.10),
+        default=astuple(DEFAULT_STUDY_AREA),
         help="study-area bounding box (closed intervals)",
     )
-    parser.add_argument("--k-min", type=int, default=10)
-    parser.add_argument("--k-max", type=int, default=10)
-    parser.add_argument("--eps-km", type=float, default=5.0, help="density neighborhood radius")
-    parser.add_argument("--min-pts", type=int, default=5, help="density core threshold")
-    parser.add_argument("--seed", type=int, default=0, help="clustering seed (ZONE_SEED overrides)")
-    parser.add_argument("--restarts", type=int, default=8)
-    parser.add_argument("--max-iterations", type=int, default=100)
-    parser.add_argument("--tolerance", type=float, default=1e-7)
-    parser.add_argument("--vertex-count", type=int, default=64)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--k-min", type=int, default=PipelineConfig.xmeans.k_min)
+    parser.add_argument("--k-max", type=int, default=PipelineConfig.xmeans.k_max)
+    parser.add_argument(
+        "--eps-km", type=float, default=DbscanConfig.eps_km, help="density neighborhood radius"
+    )
+    parser.add_argument("--min-pts", type=int, default=DbscanConfig.min_pts, help="density core threshold")
+    parser.add_argument(
+        "--seed", type=int, default=KMeansConfig.seed, help="clustering seed (ZONE_SEED overrides)"
+    )
+    parser.add_argument("--restarts", type=int, default=KMeansConfig.restarts)
+    parser.add_argument("--max-iterations", type=int, default=KMeansConfig.max_iterations)
+    parser.add_argument("--tolerance", type=float, default=KMeansConfig.tolerance)
+    parser.add_argument("--vertex-count", type=int, default=PipelineConfig.vertex_count)
 
 
 def _seed_from_env(args) -> int:
@@ -61,8 +65,7 @@ def _seed_from_env(args) -> int:
     return seed
 
 
-def _pipeline_config(args, output_path=None, include_members=False) -> PipelineConfig:
-    min_lat, max_lat, min_lon, max_lon = args.bbox
+def _pipeline_config(args) -> PipelineConfig:
     inner = KMeansConfig(
         k=1,
         max_iterations=args.max_iterations,
@@ -72,14 +75,13 @@ def _pipeline_config(args, output_path=None, include_members=False) -> PipelineC
     )
     return PipelineConfig(
         store_dir=args.store,
-        bbox=BoundingBox(min_lat=min_lat, max_lat=max_lat, min_lon=min_lon, max_lon=max_lon),
+        bbox=BoundingBox(*args.bbox),
         keywords=KeywordQuery(terms=tuple(args.keywords or DEFAULT_KEYWORDS), mode=args.keyword_mode),
         xmeans=XMeansConfig(k_min=args.k_min, k_max=args.k_max, inner=inner),
         dbscan=DbscanConfig(eps_km=args.eps_km, min_pts=args.min_pts),
         vertex_count=args.vertex_count,
-        output_path=output_path,
-        include_members=include_members,
-        workers=args.workers,
+        output_path=getattr(args, "output", None),
+        include_members=getattr(args, "include_members", False),
     )
 
 
@@ -144,9 +146,7 @@ def main(argv=None) -> int:
             ingest_command(args.input, args.kind, args.store)
             return EXIT_OK
 
-        output = getattr(args, "output", None)
-        include_members = getattr(args, "include_members", False)
-        cfg = _pipeline_config(args, output_path=output, include_members=include_members)
+        cfg = _pipeline_config(args)
         result = run_pipeline(cfg)
 
         if args.command in ("cluster", "pipeline"):
@@ -159,8 +159,8 @@ def main(argv=None) -> int:
                     f"mean=({s.point_of_means.lat_deg!r}, {s.point_of_means.lon_deg!r}) "
                     f"distant=({s.distant_point.lat_deg!r}, {s.distant_point.lon_deg!r})"
                 )
-        if output is not None:
-            print(f"wrote {output}", file=sys.stderr)
+        if cfg.output_path is not None:
+            print(f"wrote {cfg.output_path}", file=sys.stderr)
         return EXIT_OK
     except EmptyCorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)

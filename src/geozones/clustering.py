@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -97,17 +96,6 @@ class Labeling:
 def points_array(points: Sequence[GeoPoint]) -> np.ndarray:
     """(n, 2) float64 array of (lat, lon) rows."""
     return np.array([(p.lat_deg, p.lon_deg) for p in points], dtype=np.float64).reshape(-1, 2)
-
-
-def centroid_of(points: Sequence[GeoPoint]) -> Centroid:
-    """Arithmetic mean of latitudes and of longitudes (compensated sums)."""
-    if len(points) == 0:
-        raise ValueError("centroid of an empty point set is undefined")
-    n = len(points)
-    return GeoPoint(
-        math.fsum(p.lat_deg for p in points) / n,
-        math.fsum(p.lon_deg for p in points) / n,
-    )
 
 
 def _derived_rng(seed: int, *key: int) -> np.random.Generator:
@@ -328,28 +316,19 @@ def xmeans(points: Sequence[GeoPoint], cfg: XMeansConfig) -> Labeling:
     return Labeling(labels=labels, centroids=_to_centroids(centers), wcss=wcss)
 
 
-def _neighbor_lists(
-    x: np.ndarray, eps_km: float, earth: EarthModel, workers: int
-) -> list[np.ndarray]:
+def _neighbor_lists(x: np.ndarray, eps_km: float, earth: EarthModel) -> list[np.ndarray]:
     """eps-neighborhoods (inclusive of self) under the haversine metric."""
     lats, lons = x[:, 0], x[:, 1]
-
-    def row(i: int) -> np.ndarray:
-        origin = GeoPoint(float(lats[i]), float(lons[i]))
-        return np.flatnonzero(haversine_to_many(origin, lats, lons, earth) <= eps_km)
-
-    n = x.shape[0]
-    if workers <= 1 or n < 2:
-        return [row(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(row, range(n)))
+    return [
+        np.flatnonzero(haversine_to_many(GeoPoint(float(lat), float(lon)), lats, lons, earth) <= eps_km)
+        for lat, lon in x
+    ]
 
 
 def dbscan(
     points: Sequence[GeoPoint],
     cfg: DbscanConfig,
     earth: EarthModel = DEFAULT_EARTH,
-    workers: int = 1,
 ) -> Labeling:
     """Density clustering with a kilometer neighborhood radius.
 
@@ -358,13 +337,13 @@ def dbscan(
     plus their border points; everything unreachable is NOISE. Cluster ids
     follow the input order of each cluster's first core point, and border
     points land in the earliest cluster that reaches them, so the result is
-    deterministic and independent of ``workers``.
+    deterministic.
     """
     x = points_array(points)
     n = x.shape[0]
     if n == 0:
         raise ConfigError("density clustering needs at least one point")
-    neighbors = _neighbor_lists(x, cfg.eps_km, earth, workers)
+    neighbors = _neighbor_lists(x, cfg.eps_km, earth)
     core = np.array([len(nb) >= cfg.min_pts for nb in neighbors], dtype=bool)
 
     UNSEEN = -2

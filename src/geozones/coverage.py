@@ -2,9 +2,8 @@
 
 The coverage radius of a cluster is the haversine distance from its point
 of means (coordinate mean of the members) to the member farthest from that
-point. The coverage circle is centered on the cluster centroid; centroid
-and point of means are computed through the same coordinate mean here, so
-they coincide by construction.
+point. The coverage circle is centered on the point of means, which is
+also the summary's centroid.
 """
 
 from __future__ import annotations
@@ -23,10 +22,14 @@ DEFAULT_VERTEX_COUNT = 64
 @dataclass(frozen=True)
 class CoverageSummary:
     cluster_id: int
-    centroid: Centroid
     point_of_means: GeoPoint
     distant_point: GeoPoint
     radius_km: DistanceKm
+
+    @property
+    def centroid(self) -> Centroid:
+        """The cluster centroid, which is the point of means."""
+        return self.point_of_means
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,7 @@ def summarize(
 ) -> list[CoverageSummary]:
     """One coverage summary per non-empty cluster, ordered by cluster id.
 
-    NOISE points never participate. The summary's centroid and point of
-    means are the same coordinate mean.
+    NOISE points never participate.
     """
     if len(points) != len(labeling.labels):
         raise ValueError(
@@ -108,13 +110,11 @@ def summarize(
         if member_idx.size == 0:
             continue
         members = [points[i] for i in member_idx]
-        mean = point_of_means(members)
         distant, radius = coverage_radius(members, earth)
         summaries.append(
             CoverageSummary(
                 cluster_id=cid,
-                centroid=mean,
-                point_of_means=mean,
+                point_of_means=point_of_means(members),
                 distant_point=distant,
                 radius_km=radius,
             )

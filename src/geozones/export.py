@@ -16,7 +16,6 @@ from typing import Sequence
 
 from .corpus import CorpusRecord, fold_text
 from .coverage import CoverageCircle, CoverageSummary
-from .errors import ZoneError
 from .geo import GeoPoint
 
 
@@ -54,36 +53,27 @@ def top_terms(texts: Sequence[str], query_terms: Sequence[str]) -> list[str]:
 
 
 def export_geojson(
-    summaries: Sequence[CoverageSummary],
-    circles: Sequence[CoverageCircle],
+    zones: Sequence[tuple[CoverageSummary, CoverageCircle]],
     members: Sequence[tuple[int, CorpusRecord]],
     include_members: bool = False,
     query_terms: Sequence[str] = (),
 ) -> dict:
-    """Build the zone FeatureCollection from aligned summaries and circles.
+    """Build the zone FeatureCollection from (summary, circle) pairs.
 
     ``members`` pairs each clustered corpus record with its cluster id, in
     corpus order; it feeds the member_count/top_terms properties and the
     optional member point features.
     """
-    if len(summaries) != len(circles):
-        raise ZoneError(
-            f"{len(summaries)} summaries but {len(circles)} circles; outputs are misaligned"
-        )
-    for summary, circle in zip(summaries, circles):
-        if circle.center != summary.centroid or circle.radius_km != summary.radius_km:
-            raise ZoneError(f"circle does not match summary for cluster {summary.cluster_id}")
-
     counts = Counter(cid for cid, _ in members)
     texts_by_cluster: dict[int, list[str]] = {}
     for cid, record in members:
         texts_by_cluster.setdefault(cid, []).append(record.text)
 
     features = []
-    for summary in summaries:
+    for summary, _ in zones:
         features.append(
             _point_feature(
-                summary.centroid,
+                summary.point_of_means,
                 {
                     "cluster_id": summary.cluster_id,
                     "radius_km": summary.radius_km,
@@ -92,7 +82,7 @@ def export_geojson(
                 },
             )
         )
-    for summary, circle in zip(summaries, circles):
+    for summary, circle in zones:
         features.append(
             _polygon_feature(circle, {"cluster_id": summary.cluster_id, "radius_km": circle.radius_km})
         )

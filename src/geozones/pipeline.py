@@ -42,6 +42,7 @@ class PipelineConfig:
     vertex_count: int = DEFAULT_VERTEX_COUNT
     output_path: str | None = None
     include_members: bool = False
+    # Has no effect: DBSCAN runs serially. Kept so existing callers still construct.
     workers: int = 1
     earth: EarthModel = DEFAULT_EARTH
 
@@ -82,7 +83,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         raise EmptyCorpusError("empty corpus: no records survived filtering")
 
     positions = [r.position for r in records]
-    noise_labeling = dbscan(positions, cfg.dbscan, cfg.earth, workers=cfg.workers)
+    noise_labeling = dbscan(positions, cfg.dbscan, cfg.earth)
     kept = [r for r, label in zip(records, noise_labeling.labels) if label != NOISE]
     noise = [r for r, label in zip(records, noise_labeling.labels) if label == NOISE]
     if not kept:
@@ -90,13 +91,13 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     labeling = xmeans([r.position for r in kept], cfg.xmeans)
     summaries = summarize(labeling, [r.position for r in kept], cfg.earth)
-    circles = [
-        coverage_circle(s.centroid, s.radius_km, cfg.vertex_count, cfg.earth) for s in summaries
+    zones = [
+        (s, coverage_circle(s.point_of_means, s.radius_km, cfg.vertex_count, cfg.earth))
+        for s in summaries
     ]
     members = [(int(label), record) for record, label in zip(kept, labeling.labels)]
     document = export_geojson(
-        summaries,
-        circles,
+        zones,
         members,
         include_members=cfg.include_members,
         query_terms=cfg.keywords.terms,

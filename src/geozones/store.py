@@ -133,9 +133,10 @@ def has_coordinates(doc: StoredDocument) -> bool:
 class DocumentStore:
     """Append-only two-collection store under one directory.
 
-    A writable store holds an exclusive advisory lock for its lifetime; a
-    second writer on the same directory fails fast. Readers never lock and
-    see every write completed before their scan started.
+    A writable store creates its directory if needed and holds an exclusive
+    advisory lock for its lifetime; a second writer on the same directory
+    fails fast. A read-only store requires the directory to exist. Readers
+    never lock and see every write completed before their scan started.
     """
 
     def __init__(self, directory, read_only: bool = False):
@@ -143,11 +144,14 @@ class DocumentStore:
         self.read_only = read_only
         self._lock_fd = None
         self._counts: dict[str, int] = {}
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise StorageError(f"cannot create store directory {self.directory}: {exc}") from exc
-        if not read_only:
+        if read_only:
+            if not self.directory.is_dir():
+                raise StorageError(f"no store directory at {self.directory}")
+        else:
+            try:
+                self.directory.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise StorageError(f"cannot create store directory {self.directory}: {exc}") from exc
             self._acquire_lock()
         for collection in COLLECTIONS:
             self._counts[collection] = self._count_lines(self._path(collection))

@@ -8,7 +8,6 @@ from geozones.clustering import (
     XMeansConfig,
     _bic,
     _lloyd,
-    centroid_of,
     dbscan,
     format_cluster_report,
     kmeans,
@@ -238,13 +237,6 @@ class TestDbscan:
             expected = brute_force_dbscan(points, eps, min_pts)
             assert np.array_equal(labeling.labels, expected), (trial, eps, min_pts)
 
-    def test_workers_do_not_change_output(self):
-        points = make_blobs([(6.0, -75.5), (6.4, -75.2)], sigma=0.02, n_per=60, seed=10)
-        serial = dbscan(points, DbscanConfig(eps_km=5, min_pts=5), workers=1)
-        threaded = dbscan(points, DbscanConfig(eps_km=5, min_pts=5), workers=4)
-        assert np.array_equal(serial.labels, threaded.labels)
-        assert serial.centroids == threaded.centroids
-
     def test_centroids_are_cluster_means(self):
         points = make_blobs([(6.0, -75.5)], sigma=0.01, n_per=30, seed=13)
         labeling = dbscan(points, DbscanConfig(eps_km=10, min_pts=3))
@@ -256,29 +248,6 @@ class TestDbscan:
     def test_empty_input_rejected(self):
         with pytest.raises(ConfigError):
             dbscan([], DbscanConfig())
-
-
-class TestCentroidOf:
-    def test_two_point_mean(self):
-        assert centroid_of([GeoPoint(0, 0), GeoPoint(2, 2)]) == GeoPoint(1, 1)
-
-    def test_singleton(self):
-        p = GeoPoint(6.241243759319632, -75.57945209898037)
-        assert centroid_of([p]) == p
-
-    def test_against_compensated_summation_oracle(self):
-        rng = np.random.default_rng(50)
-        points = [
-            GeoPoint(6.2412 + d_lat, -75.5795 + d_lon)
-            for d_lat, d_lon in rng.normal(0, 0.02, (1000, 2))
-        ]
-        mean = centroid_of(points)
-        assert mean.lat_deg == pytest.approx(kahan_mean(p.lat_deg for p in points), abs=1e-12)
-        assert mean.lon_deg == pytest.approx(kahan_mean(p.lon_deg for p in points), abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            centroid_of([])
 
 
 class TestClusterReport:

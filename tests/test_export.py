@@ -1,10 +1,7 @@
 import json
 
-import pytest
-
 from geozones.corpus import CorpusRecord
-from geozones.coverage import CoverageCircle, CoverageSummary, coverage_circle
-from geozones.errors import ZoneError
+from geozones.coverage import CoverageSummary, coverage_circle
 from geozones.export import export_geojson, top_terms, write_geojson
 from geozones.geo import GeoPoint
 
@@ -16,7 +13,6 @@ CLUSTER2_CENTROID = GeoPoint(6.241243759319632, -75.57945209898037)
 def summary_for(cid, centroid, distant, radius):
     return CoverageSummary(
         cluster_id=cid,
-        centroid=centroid,
         point_of_means=centroid,
         distant_point=distant,
         radius_km=radius,
@@ -26,21 +22,19 @@ def summary_for(cid, centroid, distant, radius):
 def make_outputs():
     s0 = summary_for(0, GeoPoint(6.15, -75.35), GeoPoint(6.16, -75.35), 1.2)
     s1 = summary_for(1, CLUSTER2_CENTROID, GeoPoint(6.273949, -75.57941), 3.622)
-    circles = [
-        coverage_circle(s.centroid, s.radius_km, vertex_count=16) for s in (s0, s1)
-    ]
+    zones = [(s, coverage_circle(s.point_of_means, s.radius_km, vertex_count=16)) for s in (s0, s1)]
     members = [
         (0, CorpusRecord(GeoPoint(6.16, -75.35), "gran fiesta", "tweet", 0)),
         (1, CorpusRecord(GeoPoint(6.24, -75.58), "I'm at 4sq.com/x", "tweet", 1)),
         (0, CorpusRecord(GeoPoint(6.15, -75.34), "medellin", "photo", 2)),
     ]
-    return [s0, s1], circles, members
+    return zones, members
 
 
 class TestExportGeojson:
     def test_feature_order_and_counts(self):
-        summaries, circles, members = make_outputs()
-        doc = export_geojson(summaries, circles, members, include_members=True)
+        zones, members = make_outputs()
+        doc = export_geojson(zones, members, include_members=True)
         kinds = [f["geometry"]["type"] for f in doc["features"]]
         assert kinds == ["Point", "Point", "Polygon", "Polygon", "Point", "Point", "Point"]
         assert [f["properties"]["cluster_id"] for f in doc["features"][:2]] == [0, 1]
@@ -49,23 +43,21 @@ class TestExportGeojson:
         assert [f["properties"]["cluster_id"] for f in doc["features"][4:]] == [0, 1, 0]
 
     def test_members_excluded_by_default(self):
-        summaries, circles, members = make_outputs()
-        doc = export_geojson(summaries, circles, members)
+        zones, members = make_outputs()
+        doc = export_geojson(zones, members)
         assert len(doc["features"]) == 4
 
     def test_centroid_coordinates_lon_lat_full_precision(self):
-        summaries, circles, members = make_outputs()
-        doc = export_geojson(summaries, circles, members)
+        zones, members = make_outputs()
+        doc = export_geojson(zones, members)
         assert doc["features"][1]["geometry"]["coordinates"] == [
             -75.57945209898037,
             6.241243759319632,
         ]
 
     def test_counts_and_terms_properties(self):
-        summaries, circles, members = make_outputs()
-        doc = export_geojson(
-            summaries, circles, members, query_terms=("Medellín", "Fiesta", "4sq.com")
-        )
+        zones, members = make_outputs()
+        doc = export_geojson(zones, members, query_terms=("Medellín", "Fiesta", "4sq.com"))
         props0 = doc["features"][0]["properties"]
         props1 = doc["features"][1]["properties"]
         assert props0["member_count"] == 2
@@ -75,28 +67,17 @@ class TestExportGeojson:
         assert props1["radius_km"] == 3.622
 
     def test_no_clusters(self):
-        doc = export_geojson([], [], [])
+        doc = export_geojson([], [])
         assert doc == {"type": "FeatureCollection", "features": []}
 
-    def test_mismatched_circle_count_rejected(self):
-        summaries, circles, members = make_outputs()
-        with pytest.raises(ZoneError):
-            export_geojson(summaries, circles[:1], members)
-
-    def test_mismatched_circle_geometry_rejected(self):
-        summaries, circles, members = make_outputs()
-        wrong = CoverageCircle(center=GeoPoint(0, 0), radius_km=1.0, ring=circles[0].ring)
-        with pytest.raises(ZoneError):
-            export_geojson(summaries, [wrong, circles[1]], members)
-
     def test_validates_against_independent_schema(self):
-        summaries, circles, members = make_outputs()
-        doc = export_geojson(summaries, circles, members, include_members=True)
+        zones, members = make_outputs()
+        doc = export_geojson(zones, members, include_members=True)
         validate_geojson(doc)
 
     def test_rings_closed(self):
-        summaries, circles, members = make_outputs()
-        doc = export_geojson(summaries, circles, members)
+        zones, members = make_outputs()
+        doc = export_geojson(zones, members)
         for feature in doc["features"]:
             if feature["geometry"]["type"] == "Polygon":
                 ring = feature["geometry"]["coordinates"][0]
@@ -104,8 +85,8 @@ class TestExportGeojson:
                 assert len(ring) == 17
 
     def test_round_trip_precision_through_file(self, tmp_path):
-        summaries, circles, members = make_outputs()
-        doc = export_geojson(summaries, circles, members)
+        zones, members = make_outputs()
+        doc = export_geojson(zones, members)
         path = tmp_path / "zones.geojson"
         write_geojson(doc, path)
         loaded = json.loads(path.read_text(encoding="utf-8"))

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from geozones.cli import EXIT_EMPTY_CORPUS, EXIT_ERROR, EXIT_OK, ingest_command, main
+from geozones.cli import (
+    EXIT_EMPTY_CORPUS,
+    EXIT_ERROR,
+    EXIT_OK,
+    _pipeline_config,
+    build_parser,
+    ingest_command,
+    main,
+)
 from geozones.clustering import DbscanConfig, KMeansConfig, XMeansConfig
 from geozones.corpus import BoundingBox, KeywordQuery
 from geozones.errors import EmptyCorpusError
@@ -230,6 +238,18 @@ class TestCliMain:
         )
         assert code == EXIT_EMPTY_CORPUS
         assert "empty corpus" in capsys.readouterr().err
+
+    def test_missing_store_exit_code(self, tmp_path, capsys):
+        missing = tmp_path / "nosuch"
+        code = main(["pipeline", "--store", str(missing), "--output", str(tmp_path / "o.json")])
+        assert code == EXIT_ERROR
+        assert str(missing) in capsys.readouterr().err
+        assert not missing.exists()
+
+    def test_bare_options_give_default_config(self, monkeypatch):
+        monkeypatch.delenv("ZONE_SEED", raising=False)
+        args = build_parser().parse_args(["pipeline", "--store", "S", "--output", "O"])
+        assert _pipeline_config(args) == PipelineConfig(store_dir="S", output_path="O")
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         store = self._ingest_blobs(tmp_path)

@@ -144,6 +144,12 @@ class TestLocking:
         DocumentStore(tmp_path).close()
         DocumentStore(tmp_path).close()
 
+    def test_read_only_missing_directory_rejected_and_not_created(self, tmp_path):
+        missing = tmp_path / "nosuch"
+        with pytest.raises(StorageError, match="nosuch"):
+            DocumentStore(missing, read_only=True)
+        assert not missing.exists()
+
 
 class TestBodyBuilders:
     def test_tweet_body_shape(self):
