@@ -7,7 +7,6 @@ X-means clustering -> per-cluster coverage circles -> GeoJSON.
 
 from .clustering import (
     NOISE,
-    Centroid,
     DbscanConfig,
     KMeansConfig,
     Labeling,
@@ -51,7 +50,6 @@ from .export import export_geojson, write_geojson
 from .geo import (
     EARTH_RADIUS_KM,
     DistanceKm,
-    EarthModel,
     GeoPoint,
     degrees_to_radians,
     destination_point,

@@ -19,13 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
-from .geo import DEFAULT_EARTH, EarthModel, GeoPoint, haversine_to_many
+from .errors import ConfigError, CoordinateError
+from .geo import GeoPoint, haversine_to_many
 
 NOISE = -1
-
-# A cluster centroid is the coordinate mean of its members, itself a point.
-Centroid = GeoPoint
 
 
 @dataclass(frozen=True)
@@ -74,28 +71,47 @@ class DbscanConfig:
 
 @dataclass
 class Labeling:
-    """Per-point labels plus cluster centroids and the degree-space WCSS.
+    """Per-point labels plus cluster centers and the degree-space WCSS.
 
     ``labels[i]`` is a 0-based cluster index or NOISE (-1). K-means and
-    X-means labelings never contain NOISE.
+    X-means labelings never contain NOISE. ``centers`` holds one (lat, lon)
+    row per cluster: the coordinate mean of its members.
     """
 
     labels: np.ndarray
-    centroids: list[Centroid]
+    centers: np.ndarray
     wcss: float
 
     @property
+    def centroids(self) -> list[GeoPoint]:
+        """The cluster centers as points."""
+        return [GeoPoint(lat, lon) for lat, lon in self.centers]
+
+    @property
     def n_clusters(self) -> int:
-        return len(self.centroids)
+        return len(self.centers)
 
     def members(self, cluster_id: int) -> np.ndarray:
         """Indices of the points assigned to one cluster."""
         return np.flatnonzero(self.labels == cluster_id)
 
 
-def points_array(points: Sequence[GeoPoint]) -> np.ndarray:
-    """(n, 2) float64 array of (lat, lon) rows."""
-    return np.array([(p.lat_deg, p.lon_deg) for p in points], dtype=np.float64).reshape(-1, 2)
+def points_array(points: Sequence[GeoPoint] | np.ndarray) -> np.ndarray:
+    """(n, 2) float64 array of (lat, lon) rows.
+
+    A ``GeoPoint`` sequence is converted; its points are already valid. An
+    array is returned without copying once its shape and ranges are checked,
+    because it may come from outside the program.
+    """
+    if not isinstance(points, np.ndarray):
+        return np.array([(p.lat_deg, p.lon_deg) for p in points], dtype=np.float64).reshape(-1, 2)
+    x = np.asarray(points, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != 2:
+        raise ConfigError(f"expected an (n, 2) array of (lat, lon) rows, got shape {x.shape}")
+    # NaN fails both comparisons, so this also rejects non-finite values.
+    if not ((np.abs(x[:, 0]) <= 90.0).all() and (np.abs(x[:, 1]) <= 180.0).all()):
+        raise CoordinateError("coordinates must be finite with lat in [-90, 90] and lon in [-180, 180]")
+    return x
 
 
 def _derived_rng(seed: int, *key: int) -> np.random.Generator:
@@ -148,16 +164,15 @@ def _lloyd(
 ):
     """One Lloyd run from explicit initial centers.
 
-    Returns (labels, centers, wcss, wcss_history). Stops at an exact fixed
-    point (assignments unchanged) or when the largest centroid displacement
-    drops to ``tolerance``. A centroid that loses all points is re-seeded at
-    the point farthest from its nearest centroid, keeping k constant.
+    Returns (labels, centers, wcss). Stops at an exact fixed point
+    (assignments unchanged) or when the largest centroid displacement drops
+    to ``tolerance``. A centroid that loses all points is re-seeded at the
+    point farthest from its nearest centroid, keeping k constant.
     """
     centers = init_centers.astype(np.float64, copy=True)
     k = centers.shape[0]
     prev_labels = None
     labels = None
-    history: list[float] = []
     for _ in range(max_iterations):
         d2 = _sq_distances(x, centers)
         labels = d2.argmin(axis=1)  # argmin takes the lowest index on ties
@@ -179,18 +194,12 @@ def _lloyd(
         new_centers[still_empty] = centers[still_empty]
         shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
-        history.append(_wcss(x, centers, labels))
         if shift <= tolerance:
             break
-    wcss = _wcss(x, centers, labels)
-    return labels, centers, wcss, history
+    return labels, centers, _wcss(x, centers, labels)
 
 
-def _to_centroids(centers: np.ndarray) -> list[Centroid]:
-    return [GeoPoint(float(lat), float(lon)) for lat, lon in centers]
-
-
-def kmeans(points: Sequence[GeoPoint], cfg: KMeansConfig) -> Labeling:
+def kmeans(points: Sequence[GeoPoint] | np.ndarray, cfg: KMeansConfig) -> Labeling:
     """Lloyd's algorithm with k-means++ seeding and deterministic restarts.
 
     Runs ``cfg.restarts`` independent seedings derived from ``cfg.seed`` and
@@ -206,11 +215,11 @@ def kmeans(points: Sequence[GeoPoint], cfg: KMeansConfig) -> Labeling:
     for r in range(cfg.restarts):
         rng = _derived_rng(cfg.seed, r)
         init = _kmeans_pp_init(x, cfg.k, rng)
-        labels, centers, wcss, _ = _lloyd(x, init, cfg.max_iterations, cfg.tolerance)
-        if best is None or wcss < best[2]:
-            best = (labels, centers, wcss)
+        run = _lloyd(x, init, cfg.max_iterations, cfg.tolerance)
+        if best is None or run[2] < best[2]:
+            best = run
     labels, centers, wcss = best
-    return Labeling(labels=labels, centroids=_to_centroids(centers), wcss=wcss)
+    return Labeling(labels=labels, centers=centers, wcss=wcss)
 
 
 def _bic(x: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
@@ -241,7 +250,7 @@ def _bic(x: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
     return log_likelihood - (free_params / 2.0) * math.log(n)
 
 
-def xmeans(points: Sequence[GeoPoint], cfg: XMeansConfig) -> Labeling:
+def xmeans(points: Sequence[GeoPoint] | np.ndarray, cfg: XMeansConfig) -> Labeling:
     """Search for the cluster count in [k_min, k_max] by BIC-scored splits.
 
     Starts from a k_min-means solution. Each round trial-splits every
@@ -256,10 +265,8 @@ def xmeans(points: Sequence[GeoPoint], cfg: XMeansConfig) -> Labeling:
     if n < cfg.k_min:
         raise ConfigError(f"need at least k_min={cfg.k_min} points, got {n}")
     inner = cfg.inner
-    base = kmeans(points, replace(inner, k=cfg.k_min))
-    labels = base.labels
-    centers = points_array(base.centroids)
-    wcss = base.wcss
+    base = kmeans(x, replace(inner, k=cfg.k_min))
+    labels, centers, wcss = base.labels, base.centers, base.wcss
 
     round_idx = 0
     while centers.shape[0] < cfg.k_max:
@@ -277,14 +284,13 @@ def xmeans(points: Sequence[GeoPoint], cfg: XMeansConfig) -> Labeling:
                     1, np.uint64
                 )[0]
             )
-            member_points = _to_centroids(members)
             try:
-                split = kmeans(member_points, replace(inner, k=2, seed=split_seed))
+                split = kmeans(members, replace(inner, k=2, seed=split_seed))
             except ConfigError:
                 continue
             if np.unique(split.labels).size < 2:
                 continue  # split collapsed; nothing gained
-            split_bic = _bic(members, points_array(split.centroids), split.labels)
+            split_bic = _bic(members, split.centers, split.labels)
             gain = split_bic - parent_bic
             if gain > 0:
                 candidates.append((gain, cid, split))
@@ -293,43 +299,30 @@ def xmeans(points: Sequence[GeoPoint], cfg: XMeansConfig) -> Labeling:
         candidates.sort(key=lambda t: (-t[0], t[1]))
         accepted = {cid: split for _, cid, split in candidates[: cfg.k_max - k]}
 
-        # Rebuild centers and labels; split children stay adjacent so the
-        # renumbering is deterministic.
+        # Split children take adjacent ids, so the numbering is deterministic.
         new_centers = []
-        new_labels = np.empty_like(labels)
         for cid in range(k):
-            member_idx = np.flatnonzero(labels == cid)
             if cid in accepted:
-                split = accepted[cid]
-                first = len(new_centers)
-                new_centers.extend(points_array(split.centroids))
-                new_labels[member_idx] = first + split.labels
+                new_centers.extend(accepted[cid].centers)
             else:
-                new_labels[member_idx] = len(new_centers)
-                new_centers.append(x[member_idx].mean(axis=0))
+                new_centers.append(x[labels == cid].mean(axis=0))
         # Polish the enlarged solution from its current centers.
-        labels, centers, wcss, _ = _lloyd(
-            x, np.asarray(new_centers), inner.max_iterations, inner.tolerance
-        )
+        labels, centers, wcss = _lloyd(x, np.asarray(new_centers), inner.max_iterations, inner.tolerance)
         round_idx += 1
 
-    return Labeling(labels=labels, centroids=_to_centroids(centers), wcss=wcss)
+    return Labeling(labels=labels, centers=centers, wcss=wcss)
 
 
-def _neighbor_lists(x: np.ndarray, eps_km: float, earth: EarthModel) -> list[np.ndarray]:
+def _neighbor_lists(x: np.ndarray, eps_km: float) -> list[np.ndarray]:
     """eps-neighborhoods (inclusive of self) under the haversine metric."""
     lats, lons = x[:, 0], x[:, 1]
     return [
-        np.flatnonzero(haversine_to_many(GeoPoint(float(lat), float(lon)), lats, lons, earth) <= eps_km)
+        np.flatnonzero(haversine_to_many(GeoPoint(lat, lon), lats, lons) <= eps_km)
         for lat, lon in x
     ]
 
 
-def dbscan(
-    points: Sequence[GeoPoint],
-    cfg: DbscanConfig,
-    earth: EarthModel = DEFAULT_EARTH,
-) -> Labeling:
+def dbscan(points: Sequence[GeoPoint] | np.ndarray, cfg: DbscanConfig) -> Labeling:
     """Density clustering with a kilometer neighborhood radius.
 
     A point is core when at least ``min_pts`` points (itself included) sit
@@ -343,7 +336,7 @@ def dbscan(
     n = x.shape[0]
     if n == 0:
         raise ConfigError("density clustering needs at least one point")
-    neighbors = _neighbor_lists(x, cfg.eps_km, earth)
+    neighbors = _neighbor_lists(x, cfg.eps_km)
     core = np.array([len(nb) >= cfg.min_pts for nb in neighbors], dtype=bool)
 
     UNSEEN = -2
@@ -368,19 +361,12 @@ def dbscan(
                 queue.extend(neighbors[j])
         cluster_id += 1
 
-    centroids = []
-    for cid in range(cluster_id):
-        members = x[labels == cid]
-        centroids.append(GeoPoint(float(members[:, 0].mean()), float(members[:, 1].mean())))
     clustered = labels != NOISE
-    wcss = 0.0
-    if cluster_id > 0 and clustered.any():
-        centers = points_array(centroids)
-        wcss = _wcss(x[clustered], centers, labels[clustered])
-    return Labeling(labels=labels, centroids=centroids, wcss=wcss)
+    centers, _ = _means_by_label(x[clustered], labels[clustered], cluster_id)
+    return Labeling(labels=labels, centers=centers, wcss=_wcss(x[clustered], centers, labels[clustered]))
 
 
-def format_cluster_report(centroids: Sequence[Centroid]) -> str:
+def format_cluster_report(centroids: Sequence[GeoPoint]) -> str:
     """Cluster report text: a header line plus one 0-indexed line per cluster."""
     lines = [f"Cluster centers : {len(centroids)} centers"]
     for i, c in enumerate(centroids):

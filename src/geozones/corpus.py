@@ -37,7 +37,8 @@ class BoundingBox:
     max_lon: float
 
     def __post_init__(self):
-        if self.min_lat > self.max_lat or self.min_lon > self.max_lon:
+        # Written so that NaN bounds, which fail every comparison, are rejected.
+        if not (self.min_lat <= self.max_lat and self.min_lon <= self.max_lon):
             raise ConfigError(
                 f"degenerate bounding box: lat [{self.min_lat}, {self.max_lat}], "
                 f"lon [{self.min_lon}, {self.max_lon}]"

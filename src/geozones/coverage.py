@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .clustering import NOISE, Centroid, Labeling
+from .clustering import Labeling
 from .errors import ConfigError
-from .geo import DEFAULT_EARTH, DistanceKm, EarthModel, GeoPoint, destination_point, haversine_distance
+from .geo import DistanceKm, GeoPoint, destination_point, haversine_distance
 
 DEFAULT_VERTEX_COUNT = 64
 
@@ -27,7 +27,7 @@ class CoverageSummary:
     radius_km: DistanceKm
 
     @property
-    def centroid(self) -> Centroid:
+    def centroid(self) -> GeoPoint:
         """The cluster centroid, which is the point of means."""
         return self.point_of_means
 
@@ -50,30 +50,29 @@ def point_of_means(members: Sequence[GeoPoint]) -> GeoPoint:
     )
 
 
-def coverage_radius(
-    members: Sequence[GeoPoint], earth: EarthModel = DEFAULT_EARTH
-) -> tuple[GeoPoint, DistanceKm]:
+def _farthest(mean: GeoPoint, members: Sequence[GeoPoint]) -> tuple[GeoPoint, DistanceKm]:
+    """Exhaustive scan for the member farthest from ``mean``; ties keep the earliest."""
+    distant = members[0]
+    radius = haversine_distance(mean, distant)
+    for member in members[1:]:
+        d = haversine_distance(mean, member)
+        if d > radius:
+            distant, radius = member, d
+    return distant, radius
+
+
+def coverage_radius(members: Sequence[GeoPoint]) -> tuple[GeoPoint, DistanceKm]:
     """(farthest member from the point of means, that exact distance).
 
     The maximum is found by exhaustive scan; ties keep the earliest member.
     """
     if len(members) == 0:
         raise ValueError("coverage radius of an empty cluster is undefined")
-    mean = point_of_means(members)
-    distant = members[0]
-    radius = haversine_distance(mean, members[0], earth)
-    for member in members[1:]:
-        d = haversine_distance(mean, member, earth)
-        if d > radius:
-            distant, radius = member, d
-    return distant, radius
+    return _farthest(point_of_means(members), members)
 
 
 def coverage_circle(
-    centroid: Centroid,
-    radius_km: DistanceKm,
-    vertex_count: int = DEFAULT_VERTEX_COUNT,
-    earth: EarthModel = DEFAULT_EARTH,
+    centroid: GeoPoint, radius_km: DistanceKm, vertex_count: int = DEFAULT_VERTEX_COUNT
 ) -> CoverageCircle:
     """Spherical polygon approximating the coverage circumference.
 
@@ -86,16 +85,13 @@ def coverage_circle(
     if radius_km < 0:
         raise ValueError(f"radius must be non-negative, got {radius_km}")
     vertices = [
-        destination_point(centroid, i * 360.0 / vertex_count, radius_km, earth)
-        for i in range(vertex_count)
+        destination_point(centroid, i * 360.0 / vertex_count, radius_km) for i in range(vertex_count)
     ]
     vertices.append(vertices[0])
     return CoverageCircle(center=centroid, radius_km=radius_km, ring=tuple(vertices))
 
 
-def summarize(
-    labeling: Labeling, points: Sequence[GeoPoint], earth: EarthModel = DEFAULT_EARTH
-) -> list[CoverageSummary]:
+def summarize(labeling: Labeling, points: Sequence[GeoPoint]) -> list[CoverageSummary]:
     """One coverage summary per non-empty cluster, ordered by cluster id.
 
     NOISE points never participate.
@@ -110,13 +106,9 @@ def summarize(
         if member_idx.size == 0:
             continue
         members = [points[i] for i in member_idx]
-        distant, radius = coverage_radius(members, earth)
+        mean = point_of_means(members)
+        distant, radius = _farthest(mean, members)
         summaries.append(
-            CoverageSummary(
-                cluster_id=cid,
-                point_of_means=point_of_means(members),
-                distant_point=distant,
-                radius_km=radius,
-            )
+            CoverageSummary(cluster_id=cid, point_of_means=mean, distant_point=distant, radius_km=radius)
         )
     return summaries

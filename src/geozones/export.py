@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .corpus import CorpusRecord, fold_text
 from .coverage import CoverageCircle, CoverageSummary
+from .errors import StorageError
 from .geo import GeoPoint
 
 
@@ -95,6 +96,12 @@ def export_geojson(
 
 
 def write_geojson(document: dict, path) -> None:
-    """Serialize with stable key order and round-trip float precision."""
+    """Serialize with stable key order and round-trip float precision.
+
+    Raises StorageError naming ``path`` when the file cannot be written.
+    """
     text = json.dumps(document, ensure_ascii=False, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    try:
+        Path(path).write_text(text + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise StorageError(f"cannot write {path}: {exc.strerror or exc}") from exc

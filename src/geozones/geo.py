@@ -42,20 +42,6 @@ class GeoPoint:
             raise CoordinateError(f"longitude {self.lon_deg} outside [-180, 180]")
 
 
-@dataclass(frozen=True)
-class EarthModel:
-    """Spherical earth with a fixed radius; immutable for the life of a run."""
-
-    radius_km: float = EARTH_RADIUS_KM
-
-    def __post_init__(self):
-        if not math.isfinite(self.radius_km) or self.radius_km <= 0:
-            raise CoordinateError(f"earth radius must be positive, got {self.radius_km}")
-
-
-DEFAULT_EARTH = EarthModel()
-
-
 def degrees_to_radians(deg: float) -> float:
     """Convert decimal degrees to radians (deg * pi / 180)."""
     if not math.isfinite(deg):
@@ -63,7 +49,7 @@ def degrees_to_radians(deg: float) -> float:
     return deg * _DEG_TO_RAD
 
 
-def haversine_distance(a: GeoPoint, b: GeoPoint, earth: EarthModel = DEFAULT_EARTH) -> DistanceKm:
+def haversine_distance(a: GeoPoint, b: GeoPoint) -> DistanceKm:
     """Great-circle distance between two points, in kilometers.
 
     Uses d = 2 * R * arcsin(sqrt(h)) with
@@ -76,30 +62,20 @@ def haversine_distance(a: GeoPoint, b: GeoPoint, earth: EarthModel = DEFAULT_EAR
     dlat = degrees_to_radians(b.lat_deg - a.lat_deg)
     dlon = degrees_to_radians(b.lon_deg - a.lon_deg)
     h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-    return 2.0 * earth.radius_km * math.asin(min(1.0, math.sqrt(max(0.0, h))))
+    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(max(0.0, h))))
 
 
-def haversine_to_many(
-    origin: GeoPoint,
-    lats_deg: np.ndarray,
-    lons_deg: np.ndarray,
-    earth: EarthModel = DEFAULT_EARTH,
-) -> np.ndarray:
+def haversine_to_many(origin: GeoPoint, lats_deg: np.ndarray, lons_deg: np.ndarray) -> np.ndarray:
     """Vectorized haversine distances from ``origin`` to arrays of coordinates."""
     lat1 = degrees_to_radians(origin.lat_deg)
     lats = np.asarray(lats_deg) * _DEG_TO_RAD
     dlat = (np.asarray(lats_deg) - origin.lat_deg) * _DEG_TO_RAD
     dlon = (np.asarray(lons_deg) - origin.lon_deg) * _DEG_TO_RAD
     h = np.sin(dlat / 2.0) ** 2 + math.cos(lat1) * np.cos(lats) * np.sin(dlon / 2.0) ** 2
-    return 2.0 * earth.radius_km * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
-def destination_point(
-    center: GeoPoint,
-    bearing_deg: float,
-    distance: DistanceKm,
-    earth: EarthModel = DEFAULT_EARTH,
-) -> GeoPoint:
+def destination_point(center: GeoPoint, bearing_deg: float, distance: DistanceKm) -> GeoPoint:
     """Point at ``distance`` km from ``center`` along an initial bearing.
 
     Bearing is degrees clockwise from north, taken mod 360. The returned
@@ -115,7 +91,7 @@ def destination_point(
     lat1 = degrees_to_radians(center.lat_deg)
     lon1 = degrees_to_radians(center.lon_deg)
     theta = degrees_to_radians(bearing_deg % 360.0)
-    delta = distance / earth.radius_km
+    delta = distance / EARTH_RADIUS_KM
     sin_lat2 = math.sin(lat1) * math.cos(delta) + math.cos(lat1) * math.sin(delta) * math.cos(theta)
     lat2 = math.asin(max(-1.0, min(1.0, sin_lat2)))
     y = math.sin(theta) * math.sin(delta) * math.cos(lat1)

@@ -12,6 +12,7 @@ from .clustering import (
     XMeansConfig,
     dbscan,
     format_cluster_report,
+    points_array,
     xmeans,
 )
 from .corpus import (
@@ -28,7 +29,6 @@ from .corpus import (
 from .coverage import DEFAULT_VERTEX_COUNT, CoverageSummary, coverage_circle, summarize
 from .errors import EmptyCorpusError
 from .export import export_geojson, write_geojson
-from .geo import DEFAULT_EARTH, EarthModel
 from .store import DocumentStore
 
 
@@ -44,7 +44,6 @@ class PipelineConfig:
     include_members: bool = False
     # Has no effect: DBSCAN runs serially. Kept so existing callers still construct.
     workers: int = 1
-    earth: EarthModel = DEFAULT_EARTH
 
 
 @dataclass
@@ -82,19 +81,16 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     if not records:
         raise EmptyCorpusError("empty corpus: no records survived filtering")
 
-    positions = [r.position for r in records]
-    noise_labeling = dbscan(positions, cfg.dbscan, cfg.earth)
-    kept = [r for r, label in zip(records, noise_labeling.labels) if label != NOISE]
-    noise = [r for r, label in zip(records, noise_labeling.labels) if label == NOISE]
+    x = points_array([r.position for r in records])
+    keep = dbscan(x, cfg.dbscan).labels != NOISE
+    kept = [r for r, k in zip(records, keep) if k]
+    noise = [r for r, k in zip(records, keep) if not k]
     if not kept:
         raise EmptyCorpusError("empty corpus: density clustering labeled every record as noise")
 
-    labeling = xmeans([r.position for r in kept], cfg.xmeans)
-    summaries = summarize(labeling, [r.position for r in kept], cfg.earth)
-    zones = [
-        (s, coverage_circle(s.point_of_means, s.radius_km, cfg.vertex_count, cfg.earth))
-        for s in summaries
-    ]
+    labeling = xmeans(x[keep], cfg.xmeans)
+    summaries = summarize(labeling, [r.position for r in kept])
+    zones = [(s, coverage_circle(s.point_of_means, s.radius_km, cfg.vertex_count)) for s in summaries]
     members = [(int(label), record) for record, label in zip(kept, labeling.labels)]
     document = export_geojson(
         zones,

@@ -14,7 +14,7 @@ from geozones.clustering import (
     points_array,
     xmeans,
 )
-from geozones.errors import ConfigError
+from geozones.errors import ConfigError, CoordinateError
 from geozones.geo import GeoPoint
 
 from .conftest import BUG_POINT, make_blobs
@@ -66,6 +66,28 @@ class TestKMeans:
         assert one.centroids == two.centroids
         assert one.wcss == two.wcss
 
+    def test_array_input_matches_points(self):
+        points = make_blobs([(6.0, -75.5), (6.5, -75.0)], sigma=0.02, n_per=80, seed=12)
+        one, two = kmeans(points, KMeansConfig(k=3)), kmeans(points_array(points), KMeansConfig(k=3))
+        assert np.array_equal(one.labels, two.labels)
+        assert np.array_equal(one.centers, two.centers)
+        assert one.wcss == two.wcss
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ([[6.2, -75.5, 0.0]], ConfigError),
+            ([[np.nan, -75.5]], CoordinateError),
+            ([[91.0, -75.5]], CoordinateError),
+            ([[6.2, -181.0]], CoordinateError),
+        ],
+    )
+    def test_bad_array_input_rejected(self, rows, error):
+        with pytest.raises(error):
+            points_array(np.array(rows))
+        with pytest.raises(error):
+            kmeans(np.array(rows), KMeansConfig(k=1))
+
     def test_restarts_attain_brute_force_optimum(self):
         rng = np.random.default_rng(100)
         for _ in range(25):
@@ -84,7 +106,7 @@ class TestKMeans:
         x = points_array(points)
         rng = np.random.default_rng(0)
         init = x[rng.choice(len(points), 6, replace=False)]
-        _, _, _, history = _lloyd(x, init, max_iterations=100, tolerance=0.0)
+        history = [_lloyd(x, init, max_iterations=m, tolerance=0.0)[2] for m in range(1, 30)]
         assert all(later <= earlier + 1e-9 for earlier, later in zip(history, history[1:]))
 
     def test_assignment_optimality_at_convergence(self):
@@ -108,9 +130,9 @@ class TestKMeans:
         points = grid_points(60, seed=21)
         x = points_array(points)
         init = x[:4].copy()
-        labels_a, centers_a, _, _ = _lloyd(x, init, 100, 0.0)
+        labels_a, centers_a, _ = _lloyd(x, init, 100, 0.0)
         perm = np.random.default_rng(5).permutation(len(points))
-        labels_b, centers_b, _, _ = _lloyd(x[perm], init, 100, 0.0)
+        labels_b, centers_b, _ = _lloyd(x[perm], init, 100, 0.0)
         # Canonical form: order clusters by centroid, then compare labels.
         order_a = np.lexsort((centers_a[:, 1], centers_a[:, 0]))
         order_b = np.lexsort((centers_b[:, 1], centers_b[:, 0]))
@@ -193,6 +215,14 @@ class TestXMeans:
         assert np.array_equal(one.labels, two.labels)
         assert one.centroids == two.centroids
 
+    def test_array_input_matches_points(self):
+        points = make_blobs([(6.0, -75.5), (6.5, -75.0)], sigma=0.02, n_per=80, seed=12)
+        cfg = XMeansConfig(k_min=1, k_max=6, inner=KMeansConfig(k=1, seed=33))
+        one, two = xmeans(points, cfg), xmeans(points_array(points), cfg)
+        assert np.array_equal(one.labels, two.labels)
+        assert np.array_equal(one.centers, two.centers)
+        assert one.wcss == two.wcss
+
     def test_too_few_points_rejected(self):
         with pytest.raises(ConfigError):
             xmeans([GeoPoint(0, 0)], XMeansConfig(k_min=2, k_max=3))
@@ -248,6 +278,13 @@ class TestDbscan:
     def test_empty_input_rejected(self):
         with pytest.raises(ConfigError):
             dbscan([], DbscanConfig())
+
+    def test_array_input_matches_points(self):
+        points = make_blobs([(6.0, -75.5), (6.5, -75.0)], sigma=0.02, n_per=80, seed=12)
+        one, two = dbscan(points, DbscanConfig()), dbscan(points_array(points), DbscanConfig())
+        assert np.array_equal(one.labels, two.labels)
+        assert np.array_equal(one.centers, two.centers)
+        assert one.wcss == two.wcss
 
 
 class TestClusterReport:

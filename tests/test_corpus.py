@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,6 +149,17 @@ class TestFilterBbox:
     def test_degenerate_box_rejected(self):
         with pytest.raises(ConfigError):
             BoundingBox(min_lat=7, max_lat=6, min_lon=0, max_lon=1)
+
+    @pytest.mark.parametrize("nan_at", range(4))
+    def test_nan_bound_rejected(self, nan_at):
+        bounds = [6.0, 7.0, -76.0, -75.0]
+        bounds[nan_at] = float("nan")
+        with pytest.raises(ConfigError):
+            BoundingBox(*bounds)
+
+    def test_infinite_bounds_cover_the_world(self):
+        box = BoundingBox(-math.inf, math.inf, -math.inf, math.inf)
+        assert box.contains(GeoPoint(-90, 180))
 
     @given(records=st.lists(record_strategy, max_size=40))
     def test_partition_is_exact(self, records):

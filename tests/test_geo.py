@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from geozones.errors import CoordinateError
 from geozones.geo import (
     EARTH_RADIUS_KM,
-    EarthModel,
     GeoPoint,
     degrees_to_radians,
     destination_point,
@@ -77,11 +76,6 @@ class TestHaversineDistance:
     def test_half_great_circle(self):
         d = haversine_distance(GeoPoint(0, 0), GeoPoint(0, 180))
         assert d == pytest.approx(math.pi * EARTH_RADIUS_KM, rel=1e-12)
-
-    def test_custom_earth_model(self):
-        earth = EarthModel(radius_km=1.0)
-        d = haversine_distance(GeoPoint(0, 0), GeoPoint(0, 180), earth)
-        assert d == pytest.approx(math.pi, rel=1e-12)
 
     @given(a=geopoints, b=geopoints)
     def test_symmetry(self, a, b):

@@ -246,6 +246,13 @@ class TestCliMain:
         assert str(missing) in capsys.readouterr().err
         assert not missing.exists()
 
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        store = self._ingest_blobs(tmp_path)
+        out = tmp_path / "nosuch" / "zones.geojson"
+        code = main(["pipeline", "--store", str(store), "--output", str(out), "--min-pts", "3"])
+        assert code == EXIT_ERROR
+        assert str(out) in capsys.readouterr().err
+
     def test_bare_options_give_default_config(self, monkeypatch):
         monkeypatch.delenv("ZONE_SEED", raising=False)
         args = build_parser().parse_args(["pipeline", "--store", "S", "--output", "O"])
