@@ -13,7 +13,6 @@ numbering follows input order.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -339,26 +338,18 @@ def dbscan(points: Sequence[GeoPoint] | np.ndarray, cfg: DbscanConfig) -> Labeli
     neighbors = _neighbor_lists(x, cfg.eps_km)
     core = np.array([len(nb) >= cfg.min_pts for nb in neighbors], dtype=bool)
 
-    UNSEEN = -2
-    labels = np.full(n, UNSEEN, dtype=np.int64)
+    labels = np.full(n, NOISE, dtype=np.int64)
     cluster_id = 0
-    for i in range(n):
-        if labels[i] != UNSEEN:
-            continue
-        if not core[i]:
-            labels[i] = NOISE  # may be rescued later as a border point
+    for i in np.flatnonzero(core):
+        if labels[i] != NOISE:
             continue
         labels[i] = cluster_id
-        queue = deque(neighbors[i])
-        while queue:
-            j = queue.popleft()
-            if labels[j] == NOISE:
-                labels[j] = cluster_id  # border point
-            if labels[j] != UNSEEN:
-                continue
-            labels[j] = cluster_id
-            if core[j]:
-                queue.extend(neighbors[j])
+        frontier = [i]  # labelled core points whose neighbours are not yet taken
+        while frontier:
+            nb = neighbors[frontier.pop()]
+            reached = nb[labels[nb] == NOISE]  # a border point keeps its earlier cluster
+            labels[reached] = cluster_id
+            frontier.extend(reached[core[reached]])
         cluster_id += 1
 
     clustered = labels != NOISE

@@ -100,6 +100,8 @@ def parse_tweet(payload: str) -> RawTweet:
     except json.JSONDecodeError as exc:
         offset = len(payload[: exc.pos].encode("utf-8"))
         raise ParseError(f"malformed tweet JSON at byte {offset}: {exc.msg}", offset=offset) from exc
+    except (ValueError, RecursionError) as exc:  # an integer over the digit limit, or deep nesting
+        raise ParseError(f"malformed tweet JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("tweet payload must be a JSON object", path="tweet")
 
@@ -122,7 +124,10 @@ def parse_tweet(payload: str) -> RawTweet:
         lon, lat = coords
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in coords):
             raise SchemaError("coordinates must be numeric", path="tweet.coordinates.coordinates")
-        point = GeoPoint(float(lat), float(lon))
+        try:
+            point = GeoPoint(float(lat), float(lon))
+        except OverflowError:
+            raise SchemaError("coordinates must fit in a float", path="tweet.coordinates.coordinates")
 
     source = doc.get("source", "")
     text = doc.get("text", "")

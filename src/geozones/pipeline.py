@@ -61,7 +61,7 @@ def build_corpus(store: DocumentStore, keywords: KeywordQuery, bbox: BoundingBox
     """Scan, normalize and filter the store into (records, purged)."""
     records = []
     for collection in ("tweet", "photo"):
-        for doc in store.scan(collection, geo_only=True):
+        for doc in store.scan(collection):
             record = normalize(doc)
             if record is not None:
                 records.append(record)

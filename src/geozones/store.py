@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import fcntl
 import json
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,7 +54,7 @@ def canonical_json(obj) -> str:
 def _check_number(value, path: str, lo: float, hi: float):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path} must be a number", path=path)
-    if not math.isfinite(value) or not lo <= value <= hi:
+    if not lo <= value <= hi:  # also false for NaN, infinities and ints beyond float range
         raise SchemaError(f"{path} value {value} outside [{lo}, {hi}]", path=path)
 
 
@@ -153,8 +152,8 @@ class DocumentStore:
             except OSError as exc:
                 raise StorageError(f"cannot create store directory {self.directory}: {exc}") from exc
             self._acquire_lock()
-        for collection in COLLECTIONS:
-            self._counts[collection] = self._count_lines(self._path(collection))
+            # Only put() reads the counts; stats() recounts from disk.
+            self._counts = {c: self._count_lines(self._path(c)) for c in COLLECTIONS}
 
     def _path(self, collection: str) -> Path:
         return self.directory / f"{collection}.jsonl"
@@ -212,11 +211,8 @@ class DocumentStore:
                 return doc
         raise StorageError(f"no {collection} document with id {doc_id}")
 
-    def scan(self, collection: str, geo_only: bool = False) -> Iterator[StoredDocument]:
-        """Yield documents of one collection in insertion order.
-
-        ``geo_only`` keeps only documents with a complete coordinate fix.
-        """
+    def scan(self, collection: str) -> Iterator[StoredDocument]:
+        """Yield documents of one collection in insertion order."""
         if collection not in COLLECTIONS:
             raise SchemaError(f"unknown collection {collection!r}", path=collection)
         path = self._path(collection)
@@ -239,10 +235,7 @@ class DocumentStore:
                 raise StorageError(
                     f"integrity check failed at {path}:{lineno + 1}: length {actual} != declared {declared}"
                 )
-            doc = StoredDocument(collection=collection, body=body, doc_id=doc_id)
-            if geo_only and not has_coordinates(doc):
-                continue
-            yield doc
+            yield StoredDocument(collection=collection, body=body, doc_id=doc_id)
 
     def stats(self) -> StoreStats:
         # Recount from disk so readers agree with what a fresh scan returns.

@@ -253,7 +253,8 @@ class TestDbscan:
 
     def test_matches_reachability_oracle_random_instances(self):
         rng = np.random.default_rng(77)
-        for trial in range(30):
+        instances = []
+        for _ in range(30):
             n = int(rng.integers(5, 120))
             points = [
                 GeoPoint(lat, lon)
@@ -261,8 +262,13 @@ class TestDbscan:
                     rng.uniform(6.0, 6.6, n), rng.uniform(-75.8, -75.2, n)
                 )
             ]
-            eps = float(rng.uniform(0.5, 20.0))
-            min_pts = int(rng.integers(1, 8))
+            instances.append((points, float(rng.uniform(0.5, 20.0)), int(rng.integers(1, 8))))
+        # A border point first in input order, within eps of two clusters.
+        offsets_km = [0, 0.9, 1.1, 1.3, 1.5, -1.5, -1.3, -1.1, -0.9]
+        instances.append(([GeoPoint(6.2 + o / 111.19492664455873, -75.5) for o in offsets_km], 1.0, 4))
+        # One dense 600-point component.
+        instances.append((make_blobs([(6.20, -75.50), (6.27, -75.50)], sigma=0.01, n_per=300, seed=5), 5.0, 5))
+        for trial, (points, eps, min_pts) in enumerate(instances):
             labeling = dbscan(points, DbscanConfig(eps_km=eps, min_pts=min_pts))
             expected = brute_force_dbscan(points, eps, min_pts)
             assert np.array_equal(labeling.labels, expected), (trial, eps, min_pts)

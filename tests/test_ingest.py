@@ -52,6 +52,20 @@ class TestParseTweet:
             parse_tweet("{")
         assert excinfo.value.offset is not None
 
+    def test_coordinate_beyond_float_range(self):
+        payload = '{"coordinates": {"coordinates": [1' + "0" * 400 + ', 6.2], "type": "Point"}}'
+        with pytest.raises(SchemaError) as excinfo:
+            parse_tweet(payload)
+        assert excinfo.value.path == "tweet.coordinates.coordinates"
+
+    def test_integer_over_digit_limit(self):
+        with pytest.raises(ParseError):
+            parse_tweet('{"text": ' + "1" * 5000 + "}")
+
+    def test_deep_nesting(self):
+        with pytest.raises(ParseError):
+            parse_tweet("[" * 5000 + "]" * 5000)
+
     def test_wrong_geometry_type(self):
         payload = '{"coordinates": {"coordinates": [1.0, 2.0], "type": "Polygon"}}'
         with pytest.raises(SchemaError):
@@ -180,10 +194,11 @@ class TestReplaySource:
     def test_mixed_good_and_malformed(self, tmp_path):
         write_tweet_file(tmp_path, "a.json", GeoPoint(6.2, -75.5))
         (tmp_path / "b.json").write_text("{", encoding="utf-8")
+        (tmp_path / "c.json").write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
         records, summary = self._drain(tmp_path, "tweet")
         assert len(records) == 1
-        assert (summary.parsed, summary.skipped) == (1, 1)
-        assert summary.failures[0][0] == "b.json"
+        assert (summary.parsed, summary.skipped) == (1, 2)
+        assert [name for name, _ in summary.failures] == ["b.json", "c.json"]
 
     def test_lexicographic_order(self, tmp_path):
         write_tweet_file(tmp_path, "b.json", None, text="second")

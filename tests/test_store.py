@@ -37,8 +37,9 @@ class TestPut:
             second = store.put("tweet", VALID_TWEET)
         assert first != second
 
-    def test_out_of_range_latitude_rejected(self, tmp_path):
-        body = {"geo": {"latitude": 95.0, "longitude": 0.0, "accuracy": 6}, "name": "x"}
+    @pytest.mark.parametrize("latitude", [95.0, 10**400], ids=["95.0", "10**400"])
+    def test_out_of_range_latitude_rejected(self, tmp_path, latitude):
+        body = {"geo": {"latitude": latitude, "longitude": 0.0, "accuracy": 6}, "name": "x"}
         with DocumentStore(tmp_path) as store:
             with pytest.raises(SchemaError):
                 store.put("photo", body)
@@ -71,14 +72,6 @@ class TestScan:
             scanned = list(store.scan("tweet"))
         assert [d.body["text"] for d in scanned] == ["t0", "t1", "t2"]
         assert [d.doc_id for d in scanned] == [0, 1, 2]
-
-    def test_geo_only_filter(self, tmp_path):
-        with DocumentStore(tmp_path) as store:
-            store.put("tweet", VALID_TWEET)
-            store.put("tweet", UNTAGGED_TWEET)
-            store.put("tweet", VALID_TWEET)
-            assert len(list(store.scan("tweet", geo_only=True))) == 2
-            assert len(list(store.scan("tweet"))) == 3
 
     def test_empty_store(self, tmp_path):
         with DocumentStore(tmp_path) as store:
