@@ -26,8 +26,6 @@ from .corpus import (
     filter_bbox,
     filter_keywords,
     normalize,
-    read_corpus_csv,
-    write_corpus_csv,
 )
 from .coverage import (
     CoverageCircle,

@@ -1,4 +1,4 @@
-"""Command-line interface: ingest fixtures, cluster, summarize, export zones."""
+"""Command-line interface: ``ingest`` fixtures into the store, run the ``pipeline`` on it."""
 
 from __future__ import annotations
 
@@ -17,39 +17,6 @@ from .store import DocumentStore, StoreStats, photo_body, tweet_body
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_EMPTY_CORPUS = 2
-
-
-def _add_common_options(parser: argparse.ArgumentParser):
-    parser.add_argument("--store", required=True, help="store directory")
-    parser.add_argument(
-        "--keyword",
-        action="append",
-        dest="keywords",
-        metavar="TERM",
-        help=f"filter term, repeatable (default: {', '.join(DEFAULT_KEYWORDS)})",
-    )
-    parser.add_argument("--keyword-mode", choices=KEYWORD_MODES, default=KeywordQuery.mode)
-    parser.add_argument(
-        "--bbox",
-        nargs=4,
-        type=float,
-        metavar=("MIN_LAT", "MAX_LAT", "MIN_LON", "MAX_LON"),
-        default=astuple(DEFAULT_STUDY_AREA),
-        help="study-area bounding box (closed intervals)",
-    )
-    parser.add_argument("--k-min", type=int, default=PipelineConfig.xmeans.k_min)
-    parser.add_argument("--k-max", type=int, default=PipelineConfig.xmeans.k_max)
-    parser.add_argument(
-        "--eps-km", type=float, default=DbscanConfig.eps_km, help="density neighborhood radius"
-    )
-    parser.add_argument("--min-pts", type=int, default=DbscanConfig.min_pts, help="density core threshold")
-    parser.add_argument(
-        "--seed", type=int, default=KMeansConfig.seed, help="clustering seed (ZONE_SEED overrides)"
-    )
-    parser.add_argument("--restarts", type=int, default=KMeansConfig.restarts)
-    parser.add_argument("--max-iterations", type=int, default=KMeansConfig.max_iterations)
-    parser.add_argument("--tolerance", type=float, default=KMeansConfig.tolerance)
-    parser.add_argument("--vertex-count", type=int, default=PipelineConfig.vertex_count)
 
 
 def _seed_from_env(args) -> int:
@@ -80,8 +47,8 @@ def _pipeline_config(args) -> PipelineConfig:
         xmeans=XMeansConfig(k_min=args.k_min, k_max=args.k_max, inner=inner),
         dbscan=DbscanConfig(eps_km=args.eps_km, min_pts=args.min_pts),
         vertex_count=args.vertex_count,
-        output_path=getattr(args, "output", None),
-        include_members=getattr(args, "include_members", False),
+        output_path=args.output,
+        include_members=args.include_members,
     )
 
 
@@ -115,21 +82,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--kind", required=True, choices=("tweet", "photo"))
     p_ingest.add_argument("--store", required=True, help="store directory")
 
-    p_cluster = sub.add_parser("cluster", help="cluster the corpus and print the report")
-    _add_common_options(p_cluster)
-
-    p_coverage = sub.add_parser("coverage", help="cluster and print per-cluster coverage")
-    _add_common_options(p_coverage)
-
-    p_export = sub.add_parser("export", help="cluster and write the zone GeoJSON")
-    _add_common_options(p_export)
-    p_export.add_argument("--output", required=True, help="GeoJSON output path")
-    p_export.add_argument("--include-members", action="store_true")
-
-    p_pipeline = sub.add_parser("pipeline", help="full run: report plus GeoJSON")
-    _add_common_options(p_pipeline)
-    p_pipeline.add_argument("--output", required=True, help="GeoJSON output path")
-    p_pipeline.add_argument("--include-members", action="store_true")
+    p_pipeline = sub.add_parser("pipeline", help="cluster the corpus, print report and coverage")
+    p_pipeline.add_argument("--store", required=True, help="store directory")
+    p_pipeline.add_argument(
+        "--keyword",
+        action="append",
+        dest="keywords",
+        metavar="TERM",
+        help=f"filter term, repeatable (default: {', '.join(DEFAULT_KEYWORDS)})",
+    )
+    p_pipeline.add_argument("--keyword-mode", choices=KEYWORD_MODES, default=KeywordQuery.mode)
+    p_pipeline.add_argument(
+        "--bbox",
+        nargs=4,
+        type=float,
+        metavar=("MIN_LAT", "MAX_LAT", "MIN_LON", "MAX_LON"),
+        default=astuple(DEFAULT_STUDY_AREA),
+        help="study-area bounding box (closed intervals)",
+    )
+    p_pipeline.add_argument("--k-min", type=int, default=PipelineConfig.xmeans.k_min)
+    p_pipeline.add_argument("--k-max", type=int, default=PipelineConfig.xmeans.k_max)
+    p_pipeline.add_argument(
+        "--eps-km", type=float, default=DbscanConfig.eps_km, help="density neighborhood radius"
+    )
+    p_pipeline.add_argument(
+        "--min-pts", type=int, default=DbscanConfig.min_pts, help="density core threshold"
+    )
+    p_pipeline.add_argument(
+        "--seed", type=int, default=KMeansConfig.seed, help="clustering seed (ZONE_SEED overrides)"
+    )
+    p_pipeline.add_argument("--restarts", type=int, default=KMeansConfig.restarts)
+    p_pipeline.add_argument("--max-iterations", type=int, default=KMeansConfig.max_iterations)
+    p_pipeline.add_argument("--tolerance", type=float, default=KMeansConfig.tolerance)
+    p_pipeline.add_argument("--vertex-count", type=int, default=PipelineConfig.vertex_count)
+    p_pipeline.add_argument("--output", help="also write the zone GeoJSON to this path")
+    p_pipeline.add_argument(
+        "--include-members", action="store_true", help="add member points to the GeoJSON"
+    )
 
     return parser
 
@@ -148,17 +137,13 @@ def main(argv=None) -> int:
 
         cfg = _pipeline_config(args)
         result = run_pipeline(cfg)
-
-        if args.command in ("cluster", "pipeline"):
-            print(result.report)
-        if args.command == "coverage":
-            print(result.report)
-            for s in result.summaries:
-                print(
-                    f"Cluster {s.cluster_id}: radius_km={s.radius_km!r} "
-                    f"mean=({s.point_of_means.lat_deg!r}, {s.point_of_means.lon_deg!r}) "
-                    f"distant=({s.distant_point.lat_deg!r}, {s.distant_point.lon_deg!r})"
-                )
+        print(result.report)
+        for s in result.summaries:
+            print(
+                f"Cluster {s.cluster_id}: radius_km={s.radius_km!r} "
+                f"mean=({s.point_of_means.lat_deg!r}, {s.point_of_means.lon_deg!r}) "
+                f"distant=({s.distant_point.lat_deg!r}, {s.distant_point.lon_deg!r})"
+            )
         if cfg.output_path is not None:
             print(f"wrote {cfg.output_path}", file=sys.stderr)
         return EXIT_OK

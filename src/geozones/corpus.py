@@ -7,15 +7,13 @@ filtering only, never part of any distance computation.
 
 from __future__ import annotations
 
-import csv
 import unicodedata
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ConfigError
 from .geo import GeoPoint
-from .store import StoredDocument, has_coordinates
+from .store import StoredDocument
 
 KEYWORD_MODES = ("any", "all")
 DEFAULT_KEYWORDS = ("Medellín", "Fiesta", "4sq.com")
@@ -82,13 +80,15 @@ def fold_text(text: str) -> str:
 def normalize(doc: StoredDocument) -> CorpusRecord | None:
     """Flatten a stored document into a corpus record.
 
-    Documents without coordinates are dropped (None), not errors. Tweets
-    contribute their message text; photos contribute their name.
+    Tweets whose coordinates block is null are dropped (None), not errors;
+    photos always carry a fix. Tweets contribute their message text; photos
+    contribute their name.
     """
-    if not has_coordinates(doc):
-        return None
     if doc.collection == "tweet":
-        inner = doc.body["coordinates"]["coordinates"]
+        block = doc.body.get("coordinates")
+        if block is None:
+            return None
+        inner = block["coordinates"]
         position = GeoPoint(inner["latitude"], inner["longitude"])
         text = doc.body["text"]
     else:
@@ -131,32 +131,3 @@ def dedupe(records: Iterable[CorpusRecord]) -> list[CorpusRecord]:
         seen.add(key)
         kept.append(record)
     return kept
-
-
-CSV_HEADER = ("lat", "lon", "text", "origin", "source_doc_id")
-
-
-def write_corpus_csv(records: Sequence[CorpusRecord], path) -> None:
-    """Write the corpus interchange CSV (RFC-4180 quoting, decimal points)."""
-    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in records:
-            writer.writerow([repr(r.position.lat_deg), repr(r.position.lon_deg), r.text, r.origin, r.source_doc_id])
-
-
-def read_corpus_csv(path) -> list[CorpusRecord]:
-    with open(Path(path), "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != CSV_HEADER:
-            raise ConfigError(f"unexpected corpus CSV header: {header}")
-        return [
-            CorpusRecord(
-                position=GeoPoint(float(lat), float(lon)),
-                text=text,
-                origin=origin,
-                source_doc_id=int(doc_id),
-            )
-            for lat, lon, text, origin, doc_id in reader
-        ]

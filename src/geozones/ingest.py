@@ -20,6 +20,7 @@ from .errors import ConfigError, ParseError, SchemaError, StorageError, ZoneErro
 from .geo import GeoPoint
 
 FLICKR_ACCURACY_RANGE = (1, 16)
+ECHO_CHARS = 40
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,14 @@ class ReplaySummary:
     failures: list[tuple[str, str]] = field(default_factory=list)
 
 
+def _echo(value) -> str:
+    """``repr(value)`` for an error message: at most ECHO_CHARS characters, then its full length."""
+    text = repr(value)
+    if len(text) <= ECHO_CHARS:
+        return text
+    return f"{text[:ECHO_CHARS]}... ({len(text)} chars)"
+
+
 def parse_tweet(payload: str) -> RawTweet:
     """Decode one tweet JSON document.
 
@@ -112,7 +121,7 @@ def parse_tweet(payload: str) -> RawTweet:
             raise SchemaError("coordinates block must be an object", path="tweet.coordinates")
         if block.get("type") != "Point":
             raise SchemaError(
-                f"coordinates type must be 'Point', got {block.get('type')!r}",
+                f"coordinates type must be 'Point', got {_echo(block.get('type'))}",
                 path="tweet.coordinates.type",
             )
         coords = block.get("coordinates")
@@ -157,7 +166,9 @@ def _int_attr(elem: ET.Element, name: str, context: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SchemaError(f"attribute '{name}' must be an integer, got {raw!r}", path=f"{context}.{name}")
+        raise SchemaError(
+            f"attribute '{name}' must be an integer, got {_echo(raw)}", path=f"{context}.{name}"
+        )
 
 
 def parse_photo_search(payload: str) -> PhotoSearchPage:
@@ -174,7 +185,7 @@ def parse_photo_search(payload: str) -> PhotoSearchPage:
     if total < 0:
         raise SchemaError("total must be non-negative", path="photos.total")
     if page > pages:
-        raise SchemaError(f"page {page} exceeds pages {pages}", path="photos.page")
+        raise SchemaError(f"page {_echo(page)} exceeds pages {_echo(pages)}", path="photos.page")
 
     stubs = []
     for child in root.findall("photo"):
@@ -210,11 +221,13 @@ def parse_photo_geo(payload: str) -> RawPhotoGeo:
     accuracy = _int_attr(location, "accuracy", "photo.location")
     lo, hi = FLICKR_ACCURACY_RANGE
     if not lo <= accuracy <= hi:
-        raise SchemaError(f"accuracy {accuracy} outside [{lo}, {hi}]", path="photo.location.accuracy")
+        raise SchemaError(f"accuracy {_echo(accuracy)} outside [{lo}, {hi}]", path="photo.location.accuracy")
     try:
         lat_val, lon_val = float(lat), float(lon)
     except ValueError:
-        raise SchemaError(f"non-numeric location attributes ({lat!r}, {lon!r})", path="photo.location")
+        raise SchemaError(
+            f"non-numeric location attributes ({_echo(lat)}, {_echo(lon)})", path="photo.location"
+        )
     # GeoPoint raises CoordinateError on out-of-range values.
     return RawPhotoGeo(photo_id=photo_id, location=GeoPoint(lat_val, lon_val), accuracy=accuracy)
 

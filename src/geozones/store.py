@@ -122,13 +122,6 @@ def photo_body(record: PhotoRecord) -> dict:
     }
 
 
-def has_coordinates(doc: StoredDocument) -> bool:
-    """True when the document carries a complete coordinate fix."""
-    if doc.collection == "photo":
-        return True
-    return doc.body.get("coordinates") is not None
-
-
 class DocumentStore:
     """Append-only two-collection store under one directory.
 
@@ -204,12 +197,6 @@ class DocumentStore:
             raise StorageError(f"write failed for {self._path(collection)}: {exc}") from exc
         self._counts[collection] = doc_id + 1
         return doc_id
-
-    def get(self, collection: str, doc_id: int) -> StoredDocument:
-        for doc in self.scan(collection):
-            if doc.doc_id == doc_id:
-                return doc
-        raise StorageError(f"no {collection} document with id {doc_id}")
 
     def scan(self, collection: str) -> Iterator[StoredDocument]:
         """Yield documents of one collection in insertion order."""

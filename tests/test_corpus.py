@@ -14,8 +14,6 @@ from geozones.corpus import (
     filter_keywords,
     fold_text,
     normalize,
-    read_corpus_csv,
-    write_corpus_csv,
 )
 from geozones.errors import ConfigError
 from geozones.geo import GeoPoint
@@ -197,30 +195,6 @@ class TestDedupe:
     def test_idempotent(self, records):
         once = dedupe(records)
         assert dedupe(once) == once
-
-
-class TestCorpusCsv:
-    def test_round_trip(self, tmp_path):
-        records = [
-            record(6.2445419, -75.6011771, text='texto con "comillas", y comas'),
-            record(10.9994759, -74.804046, text="Conocer personalmen", origin="photo", doc_id=4),
-        ]
-        path = tmp_path / "corpus.csv"
-        write_corpus_csv(records, path)
-        assert read_corpus_csv(path) == records
-
-    def test_header_and_decimal_points(self, tmp_path):
-        path = tmp_path / "corpus.csv"
-        write_corpus_csv([record(6.5, -75.25)], path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "lat,lon,text,origin,source_doc_id"
-        assert lines[1].startswith("6.5,-75.25,")
-
-    def test_unexpected_header_rejected(self, tmp_path):
-        path = tmp_path / "corpus.csv"
-        path.write_text("a,b,c\n", encoding="utf-8")
-        with pytest.raises(ConfigError):
-            read_corpus_csv(path)
 
 
 def test_mean_helper_against_kahan():

@@ -200,6 +200,34 @@ class TestReplaySource:
         assert (summary.parsed, summary.skipped) == (1, 2)
         assert [name for name, _ in summary.failures] == ["b.json", "c.json"]
 
+    @pytest.mark.parametrize(
+        "kind, name, payload",
+        [
+            ("photo", "total.xml", f"<photos page='1' pages='1' perpage='10' total='{'9' * 5000}'/>"),
+            ("photo", "page.xml", f"<photos page='{'9' * 4000}' pages='1' perpage='10' total='0'/>"),
+            (
+                "photo",
+                "latitude.xml",
+                f"<photo id='1'><location latitude='{'x' * 5000}' longitude='2' accuracy='6'/></photo>",
+            ),
+            (
+                "photo",
+                "accuracy.xml",
+                f"<photo id='1'><location latitude='1' longitude='2' accuracy='{'9' * 4000}'/></photo>",
+            ),
+            ("tweet", "type.json", json.dumps({"coordinates": {"type": "P" * 5000, "coordinates": [1, 2]}})),
+        ],
+        ids=["total", "page", "latitude", "accuracy", "tweet-type"],
+    )
+    def test_long_raw_value_clipped_in_reason(self, tmp_path, kind, name, payload):
+        (tmp_path / name).write_text(payload, encoding="utf-8")
+        records, summary = self._drain(tmp_path, kind)
+        assert records == []
+        assert (summary.parsed, summary.skipped) == (0, 1)
+        [(failed, reason)] = summary.failures
+        assert failed == name
+        assert len(reason) < 200
+
     def test_lexicographic_order(self, tmp_path):
         write_tweet_file(tmp_path, "b.json", None, text="second")
         write_tweet_file(tmp_path, "a.json", None, text="first")

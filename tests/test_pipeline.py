@@ -208,28 +208,39 @@ class TestCliMain:
         assert "Cluster centers : 10 centers" in printed
         assert out.exists()
 
-    def test_cluster_subcommand_prints_report_only(self, tmp_path, capsys):
+    def test_report_then_radius_lines(self, tmp_path, capsys):
         store = self._ingest_blobs(tmp_path)
         capsys.readouterr()  # discard ingest output
-        code = main(["cluster", "--store", str(store), "--min-pts", "3"])
+        code = main(["pipeline", "--store", str(store), "--min-pts", "3"])
         assert code == EXIT_OK
-        out = capsys.readouterr().out
-        assert out.startswith("Cluster centers : 10 centers")
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 21
+        assert lines[0] == "Cluster centers : 10 centers"
+        for i, line in enumerate(lines[1:11]):
+            assert line.startswith(f"Cluster {i}\t")
+        for i, line in enumerate(lines[11:]):
+            assert line.startswith(f"Cluster {i}: radius_km=")
 
-    def test_coverage_subcommand_prints_radii(self, tmp_path, capsys):
+    def test_output_writes_geojson(self, tmp_path, capsys):
         store = self._ingest_blobs(tmp_path)
-        code = main(["coverage", "--store", str(store), "--min-pts", "3"])
-        assert code == EXIT_OK
-        out = capsys.readouterr().out
-        assert "radius_km=" in out
-
-    def test_export_subcommand_writes_file(self, tmp_path, capsys):
-        store = self._ingest_blobs(tmp_path)
+        capsys.readouterr()
+        assert main(["pipeline", "--store", str(store), "--min-pts", "3"]) == EXIT_OK
+        bare = capsys.readouterr().out
         out = tmp_path / "zones.geojson"
-        code = main(["export", "--store", str(store), "--output", str(out), "--min-pts", "3"])
+        code = main(["pipeline", "--store", str(store), "--output", str(out), "--min-pts", "3"])
         assert code == EXIT_OK
         assert json.loads(out.read_text(encoding="utf-8"))["type"] == "FeatureCollection"
-        assert "Cluster centers" not in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == bare
+        assert captured.err == f"wrote {out}\n"
+
+    def test_without_output_writes_nothing(self, tmp_path, capsys):
+        store = self._ingest_blobs(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(["pipeline", "--store", str(store), "--min-pts", "3"]) == EXIT_OK
+        assert sorted(tmp_path.rglob("*")) == before
+        assert capsys.readouterr().err == ""
 
     def test_empty_corpus_exit_code(self, tmp_path, capsys):
         DocumentStore(tmp_path / "store").close()
@@ -257,6 +268,8 @@ class TestCliMain:
         monkeypatch.delenv("ZONE_SEED", raising=False)
         args = build_parser().parse_args(["pipeline", "--store", "S", "--output", "O"])
         assert _pipeline_config(args) == PipelineConfig(store_dir="S", output_path="O")
+        args = build_parser().parse_args(["pipeline", "--store", "S"])
+        assert _pipeline_config(args) == PipelineConfig(store_dir="S")
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         store = self._ingest_blobs(tmp_path)
@@ -268,17 +281,27 @@ class TestCliMain:
         )
         assert code == EXIT_ERROR
 
-    def test_usage_error_exit_code(self, capsys):
-        assert main(["pipeline", "--no-such-flag"]) == EXIT_ERROR
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pipeline", "--no-such-flag"],
+            ["cluster", "--store", "S"],
+            ["coverage", "--store", "S"],
+            ["export", "--store", "S", "--output", "O"],
+        ],
+        ids=["unknown-flag", "cluster", "coverage", "export"],
+    )
+    def test_usage_error_exit_code(self, capsys, argv):
+        assert main(argv) == EXIT_ERROR
 
     def test_zone_seed_env_override(self, tmp_path, capsys, monkeypatch):
         store = self._ingest_blobs(tmp_path)
         out_a, out_b, out_c = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
         monkeypatch.setenv("ZONE_SEED", "123")
-        main(["export", "--store", str(store), "--output", str(out_a), "--min-pts", "3"])
+        main(["pipeline", "--store", str(store), "--output", str(out_a), "--min-pts", "3"])
         monkeypatch.setenv("ZONE_SEED", "123")
-        main(["export", "--store", str(store), "--output", str(out_b), "--min-pts", "3", "--seed", "9"])
+        main(["pipeline", "--store", str(store), "--output", str(out_b), "--min-pts", "3", "--seed", "9"])
         monkeypatch.delenv("ZONE_SEED")
-        main(["export", "--store", str(store), "--output", str(out_c), "--min-pts", "3", "--seed", "123"])
+        main(["pipeline", "--store", str(store), "--output", str(out_c), "--min-pts", "3", "--seed", "123"])
         assert out_a.read_bytes() == out_b.read_bytes()  # env wins over the flag
         assert out_a.read_bytes() == out_c.read_bytes()  # env equals same-seed flag

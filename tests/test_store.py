@@ -22,7 +22,9 @@ class TestPut:
     def test_photo_round_trip(self, tmp_path):
         with DocumentStore(tmp_path) as store:
             doc_id = store.put("photo", VALID_PHOTO)
-            assert store.get("photo", doc_id).body == VALID_PHOTO
+            [doc] = store.scan("photo")
+            assert doc.doc_id == doc_id
+            assert doc.body == VALID_PHOTO
 
     def test_missing_nested_field_names_path(self, tmp_path):
         body = {"geo": {"latitude": 6.24, "accuracy": 6}, "name": "x"}
@@ -59,7 +61,9 @@ class TestPut:
         with DocumentStore(tmp_path) as store:
             doc_id = store.put("photo", VALID_PHOTO)
         with DocumentStore(tmp_path) as store:
-            assert store.get("photo", doc_id).body == VALID_PHOTO
+            [doc] = store.scan("photo")
+            assert doc.doc_id == doc_id
+            assert doc.body == VALID_PHOTO
             assert store.put("photo", VALID_PHOTO) == doc_id + 1
 
 
