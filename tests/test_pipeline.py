@@ -208,16 +208,26 @@ class TestCliMain:
         assert "Cluster centers : 10 centers" in printed
         assert out.exists()
 
-    def test_report_then_radius_lines(self, tmp_path, capsys):
+    def _pipeline_lines(self, tmp_path, capsys):
         store = self._ingest_blobs(tmp_path)
         capsys.readouterr()  # discard ingest output
         code = main(["pipeline", "--store", str(store), "--min-pts", "3"])
         assert code == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 21
+        return lines
+
+    def test_cluster_subcommand_prints_report_only(self, tmp_path, capsys):
+        """What `cluster` printed is now the first k + 1 lines of `pipeline`."""
+        lines = self._pipeline_lines(tmp_path, capsys)
         assert lines[0] == "Cluster centers : 10 centers"
         for i, line in enumerate(lines[1:11]):
             assert line.startswith(f"Cluster {i}\t")
+            assert "radius_km=" not in line
+
+    def test_coverage_subcommand_prints_radii(self, tmp_path, capsys):
+        """What `coverage` added is now one radius line per cluster after the report."""
+        lines = self._pipeline_lines(tmp_path, capsys)
         for i, line in enumerate(lines[11:]):
             assert line.startswith(f"Cluster {i}: radius_km=")
 
