@@ -28,7 +28,6 @@ from .corpus import (
     normalize,
 )
 from .coverage import (
-    CoverageCircle,
     CoverageSummary,
     coverage_circle,
     coverage_radius,

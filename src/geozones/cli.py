@@ -23,13 +23,9 @@ def _seed_from_env(args) -> int:
     env = os.environ.get("ZONE_SEED")
     if env is None:
         return args.seed
-    try:
-        seed = int(env)
-    except ValueError:
-        raise ZoneError(f"ZONE_SEED must be a decimal unsigned integer, got {env!r}")
-    if seed < 0:
-        raise ZoneError(f"ZONE_SEED must be non-negative, got {seed}")
-    return seed
+    if not (env.isascii() and env.isdigit()):
+        raise ZoneError(f"ZONE_SEED must be a non-negative decimal integer, got {env!r}")
+    return int(env)
 
 
 def _pipeline_config(args) -> PipelineConfig:

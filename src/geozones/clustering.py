@@ -37,7 +37,7 @@ class KMeansConfig:
             raise ConfigError(f"k must be positive, got {self.k}")
         if self.max_iterations < 1 or self.restarts < 1:
             raise ConfigError("max_iterations and restarts must be positive")
-        if self.tolerance < 0:
+        if not self.tolerance >= 0:  # also rejects NaN
             raise ConfigError(f"tolerance must be non-negative, got {self.tolerance}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
@@ -265,6 +265,8 @@ def xmeans(points: Sequence[GeoPoint] | np.ndarray, cfg: XMeansConfig) -> Labeli
         raise ConfigError(f"need at least k_min={cfg.k_min} points, got {n}")
     inner = cfg.inner
     base = kmeans(x, replace(inner, k=cfg.k_min))
+    # _lloyd returns centers that are the means of the labels it returns, so
+    # centers[cid] is the member mean of every non-empty cluster cid.
     labels, centers, wcss = base.labels, base.centers, base.wcss
 
     round_idx = 0
@@ -276,17 +278,13 @@ def xmeans(points: Sequence[GeoPoint] | np.ndarray, cfg: XMeansConfig) -> Labeli
             if member_idx.size < 2:
                 continue
             members = x[member_idx]
-            parent_center = members.mean(axis=0)[None, :]
-            parent_bic = _bic(members, parent_center, np.zeros(member_idx.size, dtype=np.int64))
+            parent_bic = _bic(members, centers[cid][None, :], np.zeros(member_idx.size, dtype=np.int64))
             split_seed = int(
                 np.random.SeedSequence(entropy=inner.seed, spawn_key=(round_idx, cid)).generate_state(
                     1, np.uint64
                 )[0]
             )
-            try:
-                split = kmeans(members, replace(inner, k=2, seed=split_seed))
-            except ConfigError:
-                continue
+            split = kmeans(members, replace(inner, k=2, seed=split_seed))
             if np.unique(split.labels).size < 2:
                 continue  # split collapsed; nothing gained
             split_bic = _bic(members, split.centers, split.labels)
@@ -304,7 +302,7 @@ def xmeans(points: Sequence[GeoPoint] | np.ndarray, cfg: XMeansConfig) -> Labeli
             if cid in accepted:
                 new_centers.extend(accepted[cid].centers)
             else:
-                new_centers.append(x[labels == cid].mean(axis=0))
+                new_centers.append(centers[cid])
         # Polish the enlarged solution from its current centers.
         labels, centers, wcss = _lloyd(x, np.asarray(new_centers), inner.max_iterations, inner.tolerance)
         round_idx += 1

@@ -1,9 +1,9 @@
-"""Per-cluster coverage geometry: point of means, radius, coverage circle.
+"""Per-cluster coverage geometry: point of means, radius, coverage ring.
 
 The coverage radius of a cluster is the haversine distance from its point
 of means (coordinate mean of the members) to the member farthest from that
-point. The coverage circle is centered on the point of means, which is
-also the summary's centroid.
+point. The coverage ring is a polygon drawn around the point of means at
+that radius; it is built only to render a summary, never stored with it.
 """
 
 from __future__ import annotations
@@ -30,13 +30,6 @@ class CoverageSummary:
     def centroid(self) -> GeoPoint:
         """The cluster centroid, which is the point of means."""
         return self.point_of_means
-
-
-@dataclass(frozen=True)
-class CoverageCircle:
-    center: GeoPoint
-    radius_km: DistanceKm
-    ring: tuple[GeoPoint, ...]  # closed: first vertex repeated last
 
 
 def point_of_means(members: Sequence[GeoPoint]) -> GeoPoint:
@@ -73,12 +66,12 @@ def coverage_radius(members: Sequence[GeoPoint]) -> tuple[GeoPoint, DistanceKm]:
 
 def coverage_circle(
     centroid: GeoPoint, radius_km: DistanceKm, vertex_count: int = DEFAULT_VERTEX_COUNT
-) -> CoverageCircle:
-    """Spherical polygon approximating the coverage circumference.
+) -> tuple[GeoPoint, ...]:
+    """Closed ring of a spherical polygon approximating the coverage circumference.
 
     Vertices sit at bearings i * 360 / vertex_count; the ring is closed by
-    repeating the first vertex. Radius zero collapses every vertex onto the
-    center.
+    repeating the first vertex, so it has vertex_count + 1 points. Radius
+    zero collapses every vertex onto the center.
     """
     if vertex_count < 3:
         raise ConfigError(f"a ring needs at least 3 vertices, got {vertex_count}")
@@ -88,7 +81,7 @@ def coverage_circle(
         destination_point(centroid, i * 360.0 / vertex_count, radius_km) for i in range(vertex_count)
     ]
     vertices.append(vertices[0])
-    return CoverageCircle(center=centroid, radius_km=radius_km, ring=tuple(vertices))
+    return tuple(vertices)
 
 
 def summarize(labeling: Labeling, points: Sequence[GeoPoint]) -> list[CoverageSummary]:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import CorpusRecord, fold_text
-from .coverage import CoverageCircle, CoverageSummary
+from .coverage import CoverageSummary
 from .errors import StorageError
 from .geo import GeoPoint
 
@@ -32,11 +32,11 @@ def _point_feature(point: GeoPoint, properties: dict) -> dict:
     }
 
 
-def _polygon_feature(circle: CoverageCircle, properties: dict) -> dict:
-    ring = [_position(vertex) for vertex in circle.ring]
+def _polygon_feature(ring: Sequence[GeoPoint], properties: dict) -> dict:
+    positions = [_position(vertex) for vertex in ring]
     return {
         "type": "Feature",
-        "geometry": {"type": "Polygon", "coordinates": [ring]},
+        "geometry": {"type": "Polygon", "coordinates": [positions]},
         "properties": properties,
     }
 
@@ -54,12 +54,12 @@ def top_terms(texts: Sequence[str], query_terms: Sequence[str]) -> list[str]:
 
 
 def export_geojson(
-    zones: Sequence[tuple[CoverageSummary, CoverageCircle]],
+    zones: Sequence[tuple[CoverageSummary, Sequence[GeoPoint]]],
     members: Sequence[tuple[int, CorpusRecord]],
     include_members: bool = False,
     query_terms: Sequence[str] = (),
 ) -> dict:
-    """Build the zone FeatureCollection from (summary, circle) pairs.
+    """Build the zone FeatureCollection from (summary, closed ring) pairs.
 
     ``members`` pairs each clustered corpus record with its cluster id, in
     corpus order; it feeds the member_count/top_terms properties and the
@@ -83,9 +83,9 @@ def export_geojson(
                 },
             )
         )
-    for summary, circle in zones:
+    for summary, ring in zones:
         features.append(
-            _polygon_feature(circle, {"cluster_id": summary.cluster_id, "radius_km": circle.radius_km})
+            _polygon_feature(ring, {"cluster_id": summary.cluster_id, "radius_km": summary.radius_km})
         )
     if include_members:
         for cid, record in members:

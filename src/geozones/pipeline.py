@@ -27,7 +27,7 @@ from .corpus import (
     normalize,
 )
 from .coverage import DEFAULT_VERTEX_COUNT, CoverageSummary, coverage_circle, summarize
-from .errors import EmptyCorpusError
+from .errors import ConfigError, EmptyCorpusError
 from .export import export_geojson, write_geojson
 from .store import DocumentStore
 
@@ -45,10 +45,14 @@ class PipelineConfig:
     # Has no effect: DBSCAN runs serially. Kept so existing callers still construct.
     workers: int = 1
 
+    def __post_init__(self):
+        # Rings are built only with an output path; check the count before any run anyway.
+        if self.vertex_count < 3:
+            raise ConfigError(f"vertex_count must be at least 3, got {self.vertex_count}")
+
 
 @dataclass
 class PipelineResult:
-    document: dict
     report: str
     summaries: list[CoverageSummary]
     records: list[CorpusRecord]  # the clustered (non-noise) corpus records
@@ -90,20 +94,18 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     labeling = xmeans(x[keep], cfg.xmeans)
     summaries = summarize(labeling, [r.position for r in kept])
-    zones = [(s, coverage_circle(s.point_of_means, s.radius_km, cfg.vertex_count)) for s in summaries]
-    members = [(int(label), record) for record, label in zip(kept, labeling.labels)]
-    document = export_geojson(
-        zones,
-        members,
-        include_members=cfg.include_members,
-        query_terms=cfg.keywords.terms,
-    )
-    report = format_cluster_report(labeling.centroids)
     if cfg.output_path is not None:
+        zones = [(s, coverage_circle(s.point_of_means, s.radius_km, cfg.vertex_count)) for s in summaries]
+        members = [(int(label), record) for record, label in zip(kept, labeling.labels)]
+        document = export_geojson(
+            zones,
+            members,
+            include_members=cfg.include_members,
+            query_terms=cfg.keywords.terms,
+        )
         write_geojson(document, Path(cfg.output_path))
     return PipelineResult(
-        document=document,
-        report=report,
+        report=format_cluster_report(labeling.centroids),
         summaries=summaries,
         records=kept,
         labeling=labeling,

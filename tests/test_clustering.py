@@ -58,6 +58,11 @@ class TestKMeans:
         with pytest.raises(ConfigError):
             kmeans([], KMeansConfig(k=1))
 
+    @pytest.mark.parametrize("tolerance", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_bad_tolerance_rejected(self, tolerance):
+        with pytest.raises(ConfigError):
+            KMeansConfig(k=1, tolerance=tolerance)
+
     def test_deterministic_for_fixed_seed(self):
         points = grid_points(40, seed=11)
         one = kmeans(points, KMeansConfig(k=4, seed=9))

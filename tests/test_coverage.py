@@ -122,30 +122,30 @@ class TestCoverageRadius:
 class TestCoverageCircle:
     def test_zero_radius_collapses_to_center(self):
         center = GeoPoint(6.2, -75.5)
-        circle = coverage_circle(center, 0.0, vertex_count=8)
-        assert all(v == center for v in circle.ring)
-        assert len(circle.ring) == 9
+        ring = coverage_circle(center, 0.0, vertex_count=8)
+        assert all(v == center for v in ring)
+        assert len(ring) == 9
 
     def test_cardinal_vertices_at_one_degree(self):
-        circle = coverage_circle(GeoPoint(0, 0), 111.19493, vertex_count=4)
-        north, east, south, west = circle.ring[:4]
+        ring = coverage_circle(GeoPoint(0, 0), 111.19493, vertex_count=4)
+        north, east, south, west = ring[:4]
         assert (north.lat_deg, north.lon_deg) == (pytest.approx(1.0, abs=1e-6), pytest.approx(0.0, abs=1e-6))
         assert (east.lat_deg, east.lon_deg) == (pytest.approx(0.0, abs=1e-6), pytest.approx(1.0, abs=1e-6))
         assert (south.lat_deg, south.lon_deg) == (pytest.approx(-1.0, abs=1e-6), pytest.approx(0.0, abs=1e-6))
         assert (west.lat_deg, west.lon_deg) == (pytest.approx(0.0, abs=1e-6), pytest.approx(-1.0, abs=1e-6))
 
     def test_ring_closed_and_sized(self):
-        circle = coverage_circle(GeoPoint(6.2, -75.5), 3.622, vertex_count=64)
-        assert circle.ring[0] == circle.ring[-1]
-        assert len(circle.ring) == 65
+        ring = coverage_circle(GeoPoint(6.2, -75.5), 3.622, vertex_count=64)
+        assert ring[0] == ring[-1]
+        assert len(ring) == 65
 
     def test_vertices_at_radius_random_circles(self):
         rng = np.random.default_rng(23)
         for _ in range(1000):
             center = GeoPoint(rng.uniform(-80, 80), rng.uniform(-179, 179))
             radius = float(rng.uniform(0.001, 1000))
-            circle = coverage_circle(center, radius, vertex_count=6)
-            for vertex in circle.ring[:-1]:
+            ring = coverage_circle(center, radius, vertex_count=6)
+            for vertex in ring[:-1]:
                 d = haversine_distance(center, vertex)
                 assert abs(d - radius) / radius <= 1e-6
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from geozones import pipeline
 from geozones.cli import (
     EXIT_EMPTY_CORPUS,
     EXIT_ERROR,
@@ -73,11 +74,12 @@ class TestRunPipeline:
 
     def test_mislocated_point_absent_from_output(self, tmp_path):
         ten_blob_store(tmp_path / "store", include_bug_point=True)
-        cfg = pipeline_config(tmp_path / "store", include_members=True)
+        out = tmp_path / "zones.geojson"
+        cfg = pipeline_config(tmp_path / "store", include_members=True, output_path=str(out))
         result = run_pipeline(cfg)
         assert all(r.position != BUG_POINT for r in result.records)
         assert [r for r in result.purged if r.position == BUG_POINT]
-        for feature in result.document["features"]:
+        for feature in json.loads(out.read_text(encoding="utf-8"))["features"]:
             if feature["geometry"]["type"] == "Point":
                 assert feature["geometry"]["coordinates"] != [
                     BUG_POINT.lon_deg,
@@ -103,6 +105,17 @@ class TestRunPipeline:
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["type"] == "FeatureCollection"
         assert len(doc["features"]) == 20  # 10 centroids + 10 polygons
+
+    def test_without_output_builds_no_ring_or_document(self, tmp_path, monkeypatch):
+        ten_blob_store(tmp_path / "store")
+
+        def fail(*args, **kwargs):
+            raise AssertionError("called without an output path")
+
+        for name in ("coverage_circle", "export_geojson", "write_geojson"):
+            monkeypatch.setattr(pipeline, name, fail)
+        result = run_pipeline(pipeline_config(tmp_path / "store"))
+        assert len(result.summaries) == 10
 
     def test_byte_identical_across_worker_counts(self, tmp_path):
         ten_blob_store(tmp_path / "store")
@@ -291,6 +304,28 @@ class TestCliMain:
         )
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize("with_output", [False, True], ids=["bare", "output"])
+    def test_bad_vertex_count_exit_code(self, tmp_path, capsys, with_output):
+        store = self._ingest_blobs(tmp_path)
+        out = tmp_path / "zones.geojson"
+        argv = ["pipeline", "--store", str(store), "--min-pts", "3", "--vertex-count", "2"]
+        assert main(argv + (["--output", str(out)] if with_output else [])) == EXIT_ERROR
+        assert "vertex_count" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_vertex_count_checked_before_store(self, tmp_path, capsys):
+        missing = tmp_path / "nosuch"
+        assert main(["pipeline", "--store", str(missing), "--vertex-count", "2"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "vertex_count" in err
+        assert str(missing) not in err
+
+    def test_nan_tolerance_exit_code(self, tmp_path, capsys):
+        store = self._ingest_blobs(tmp_path)
+        code = main(["pipeline", "--store", str(store), "--min-pts", "3", "--tolerance", "nan"])
+        assert code == EXIT_ERROR
+        assert "tolerance" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -315,3 +350,15 @@ class TestCliMain:
         main(["pipeline", "--store", str(store), "--output", str(out_c), "--min-pts", "3", "--seed", "123"])
         assert out_a.read_bytes() == out_b.read_bytes()  # env wins over the flag
         assert out_a.read_bytes() == out_c.read_bytes()  # env equals same-seed flag
+
+    @pytest.mark.parametrize(
+        "value",
+        ["abc", "-1", "1_000", " 7 ", "+3", "\u0663"],
+        ids=["letters", "negative", "underscore", "spaces", "plus", "arabic-indic-three"],
+    )
+    def test_bad_zone_seed_exit_code(self, tmp_path, capsys, monkeypatch, value):
+        DocumentStore(tmp_path / "store").close()  # an accepted seed would reach exit 2
+        monkeypatch.setenv("ZONE_SEED", value)
+        code = main(["pipeline", "--store", str(tmp_path / "store")])
+        assert code == EXIT_ERROR
+        assert "ZONE_SEED" in capsys.readouterr().err
