@@ -30,7 +30,6 @@ from .corpus import (
 from .coverage import (
     CoverageSummary,
     coverage_circle,
-    coverage_radius,
     point_of_means,
     summarize,
 )
@@ -55,7 +54,6 @@ from .geo import (
 from .ingest import (
     PhotoRecord,
     PhotoSearchPage,
-    RawPhotoGeo,
     RawPhotoStub,
     RawTweet,
     ReplaySummary,

@@ -60,7 +60,7 @@ class KeywordQuery:
     mode: str = "any"
 
     def __post_init__(self):
-        if not self.terms or any(not t.strip() for t in self.terms):
+        if not self.terms or any(not fold_text(t).strip() for t in self.terms):
             raise ConfigError("keyword query needs at least one non-blank term")
         if self.mode not in KEYWORD_MODES:
             raise ConfigError(f"keyword mode must be one of {KEYWORD_MODES}, got {self.mode!r}")

@@ -43,27 +43,6 @@ def point_of_means(members: Sequence[GeoPoint]) -> GeoPoint:
     )
 
 
-def _farthest(mean: GeoPoint, members: Sequence[GeoPoint]) -> tuple[GeoPoint, DistanceKm]:
-    """Exhaustive scan for the member farthest from ``mean``; ties keep the earliest."""
-    distant = members[0]
-    radius = haversine_distance(mean, distant)
-    for member in members[1:]:
-        d = haversine_distance(mean, member)
-        if d > radius:
-            distant, radius = member, d
-    return distant, radius
-
-
-def coverage_radius(members: Sequence[GeoPoint]) -> tuple[GeoPoint, DistanceKm]:
-    """(farthest member from the point of means, that exact distance).
-
-    The maximum is found by exhaustive scan; ties keep the earliest member.
-    """
-    if len(members) == 0:
-        raise ValueError("coverage radius of an empty cluster is undefined")
-    return _farthest(point_of_means(members), members)
-
-
 def coverage_circle(
     centroid: GeoPoint, radius_km: DistanceKm, vertex_count: int = DEFAULT_VERTEX_COUNT
 ) -> tuple[GeoPoint, ...]:
@@ -87,7 +66,9 @@ def coverage_circle(
 def summarize(labeling: Labeling, points: Sequence[GeoPoint]) -> list[CoverageSummary]:
     """One coverage summary per non-empty cluster, ordered by cluster id.
 
-    NOISE points never participate.
+    The radius is the exact maximum member distance from the point of means,
+    found by exhaustive scan; ties keep the earliest member. NOISE points
+    never participate.
     """
     if len(points) != len(labeling.labels):
         raise ValueError(
@@ -100,8 +81,11 @@ def summarize(labeling: Labeling, points: Sequence[GeoPoint]) -> list[CoverageSu
             continue
         members = [points[i] for i in member_idx]
         mean = point_of_means(members)
-        distant, radius = _farthest(mean, members)
+        distances = [haversine_distance(mean, m) for m in members]
+        far = distances.index(max(distances))
         summaries.append(
-            CoverageSummary(cluster_id=cid, point_of_means=mean, distant_point=distant, radius_km=radius)
+            CoverageSummary(
+                cluster_id=cid, point_of_means=mean, distant_point=members[far], radius_km=distances[far]
+            )
         )
     return summaries

@@ -11,8 +11,9 @@ records from fixture directories instead.
 from __future__ import annotations
 
 import json
+import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Union
 
@@ -21,6 +22,9 @@ from .geo import GeoPoint
 
 FLICKR_ACCURACY_RANGE = (1, 16)
 ECHO_CHARS = 40
+# Plain ASCII numerals only: int()/float() would also take "1_6", " 6" and non-ASCII digits.
+INT_FORM = re.compile(r"-?[0-9]+")
+FLOAT_FORM = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -30,16 +34,6 @@ class RawTweet:
     coordinates: GeoPoint | None
     source: str
     text: str
-
-    def to_payload(self) -> dict:
-        """Rebuild the wire-shaped payload (coordinates as [lon, lat])."""
-        block = None
-        if self.coordinates is not None:
-            block = {
-                "coordinates": [self.coordinates.lon_deg, self.coordinates.lat_deg],
-                "type": "Point",
-            }
-        return {"coordinates": block, "source": self.source, "text": self.text}
 
 
 @dataclass(frozen=True)
@@ -62,22 +56,13 @@ class PhotoSearchPage:
 
 
 @dataclass(frozen=True)
-class RawPhotoGeo:
-    """The geo entity of a photo: location fix plus accuracy level."""
-
-    photo_id: str
-    location: GeoPoint
-    accuracy: int
-
-
-@dataclass(frozen=True)
 class PhotoRecord:
-    """Geo entity joined with the title its search stub supplied (if any)."""
+    """A photo's geo entity: location fix, accuracy level and, once joined, its search-stub title."""
 
     photo_id: str
-    name: str
     location: GeoPoint
     accuracy: int
+    name: str = ""
 
 
 @dataclass
@@ -140,10 +125,13 @@ def parse_tweet(payload: str) -> RawTweet:
 
     source = doc.get("source", "")
     text = doc.get("text", "")
-    if not isinstance(source, str):
-        raise SchemaError("source must be a string", path="tweet.source")
-    if not isinstance(text, str):
-        raise SchemaError("text must be a string", path="tweet.text")
+    for name, value in (("source", source), ("text", text)):
+        if not isinstance(value, str):
+            raise SchemaError(f"{name} must be a string", path=f"tweet.{name}")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, which a JSON "\ud800" escape decodes to
+            raise SchemaError(f"{name} must be valid UTF-8", path=f"tweet.{name}")
     return RawTweet(coordinates=point, source=source, text=text)
 
 
@@ -164,16 +152,19 @@ def _require_attr(elem: ET.Element, name: str, context: str) -> str:
 def _int_attr(elem: ET.Element, name: str, context: str) -> int:
     raw = _require_attr(elem, name, context)
     try:
-        return int(raw)
-    except ValueError:
-        raise SchemaError(
-            f"attribute '{name}' must be an integer, got {_echo(raw)}", path=f"{context}.{name}"
-        )
+        if INT_FORM.fullmatch(raw):
+            return int(raw)
+    except ValueError:  # beyond int()'s digit limit
+        pass
+    raise SchemaError(f"attribute '{name}' must be an integer, got {_echo(raw)}", path=f"{context}.{name}")
 
 
 def parse_photo_search(payload: str) -> PhotoSearchPage:
     """Decode a photo search result page (``<photos>`` root element)."""
-    root = _xml_root(payload, "photo search")
+    return _search_page(_xml_root(payload, "photo search"))
+
+
+def _search_page(root: ET.Element) -> PhotoSearchPage:
     if root.tag != "photos":
         raise SchemaError(f"expected <photos> root, got <{root.tag}>", path="photos")
     page = _int_attr(root, "page", "photos")
@@ -205,9 +196,12 @@ def parse_photo_search(payload: str) -> PhotoSearchPage:
     return PhotoSearchPage(page=page, pages=pages, per_page=per_page, total=total, stubs=tuple(stubs))
 
 
-def parse_photo_geo(payload: str) -> RawPhotoGeo:
-    """Decode a photo geo entity (``<photo>`` root with a ``<location>``)."""
-    root = _xml_root(payload, "photo geo")
+def parse_photo_geo(payload: str) -> PhotoRecord:
+    """Decode a photo geo entity (``<photo>`` root with a ``<location>``); its name is empty."""
+    return _geo_entity(_xml_root(payload, "photo geo"))
+
+
+def _geo_entity(root: ET.Element) -> PhotoRecord:
     if root.tag != "photo":
         raise SchemaError(f"expected <photo> root, got <{root.tag}>", path="photo")
     photo_id = _require_attr(root, "id", "photo")
@@ -222,14 +216,12 @@ def parse_photo_geo(payload: str) -> RawPhotoGeo:
     lo, hi = FLICKR_ACCURACY_RANGE
     if not lo <= accuracy <= hi:
         raise SchemaError(f"accuracy {_echo(accuracy)} outside [{lo}, {hi}]", path="photo.location.accuracy")
-    try:
-        lat_val, lon_val = float(lat), float(lon)
-    except ValueError:
+    if not (FLOAT_FORM.fullmatch(lat) and FLOAT_FORM.fullmatch(lon)):
         raise SchemaError(
             f"non-numeric location attributes ({_echo(lat)}, {_echo(lon)})", path="photo.location"
         )
     # GeoPoint raises CoordinateError on out-of-range values.
-    return RawPhotoGeo(photo_id=photo_id, location=GeoPoint(lat_val, lon_val), accuracy=accuracy)
+    return PhotoRecord(photo_id=photo_id, location=GeoPoint(float(lat), float(lon)), accuracy=accuracy)
 
 
 ReplayItem = Union[RawTweet, PhotoRecord, ReplaySummary]
@@ -275,28 +267,21 @@ def replay_source(directory, kind: str) -> Iterator[ReplayItem]:
     # Photos need a join: pass 1 collects titles from search pages and the
     # geo entities in filename order; pass 2 yields the combined records.
     titles: dict[str, str] = {}
-    geo_entities: list[RawPhotoGeo] = []
+    geo_entities: list[PhotoRecord] = []
     for path in files:
         try:
-            payload = path.read_text(encoding="utf-8")
-            root_tag = _xml_root(payload, "photo").tag
-            if root_tag == "photos":
-                page = parse_photo_search(payload)
-                for stub in page.stubs:
+            root = _xml_root(path.read_text(encoding="utf-8"), "photo")
+            if root.tag == "photos":
+                for stub in _search_page(root).stubs:
                     titles.setdefault(stub.id, stub.title)
-            elif root_tag == "photo":
-                geo_entities.append(parse_photo_geo(payload))
+            elif root.tag == "photo":
+                geo_entities.append(_geo_entity(root))
             else:
-                raise SchemaError(f"unrecognized root element <{root_tag}>", path=root_tag)
+                raise SchemaError(f"unrecognized root element <{root.tag}>", path=root.tag)
         except (ZoneError, UnicodeDecodeError, OSError) as exc:
             summary.skipped += 1
             summary.failures.append((path.name, str(exc)))
     for entity in geo_entities:
         summary.parsed += 1
-        yield PhotoRecord(
-            photo_id=entity.photo_id,
-            name=titles.get(entity.photo_id, ""),
-            location=entity.location,
-            accuracy=entity.accuracy,
-        )
+        yield replace(entity, name=titles.get(entity.photo_id, ""))
     yield summary

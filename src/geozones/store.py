@@ -61,6 +61,10 @@ def _check_number(value, path: str, lo: float, hi: float):
 def _check_str(value, path: str):
     if not isinstance(value, str):
         raise SchemaError(f"{path} must be a string", path=path)
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate cannot be written
+        raise SchemaError(f"{path} must be valid UTF-8", path=path)
 
 
 def _require(body: dict, key: str, path: str):
@@ -215,7 +219,8 @@ class DocumentStore:
                 body = envelope["body"]
                 declared = envelope["len"]
                 doc_id = envelope["doc_id"]
-            except (ValueError, KeyError, UnicodeDecodeError) as exc:
+                validate_body(collection, body)
+            except (ValueError, KeyError, UnicodeDecodeError) as exc:  # SchemaError is a ValueError
                 raise StorageError(f"corrupt record at {path}:{lineno + 1}: {exc}") from exc
             actual = len(canonical_json(body).encode("utf-8"))
             if actual != declared:

@@ -113,6 +113,12 @@ class TestFilterKeywords:
         with pytest.raises(ConfigError):
             KeywordQuery(terms=("  ",))
 
+    @pytest.mark.parametrize("term", ["\u0301", " \u0301\u0308 "], ids=["acute", "marks-and-spaces"])
+    def test_term_of_combining_marks_rejected(self, term):
+        # fold_text strips combining marks, so such a term would match every text.
+        with pytest.raises(ConfigError):
+            KeywordQuery(terms=("fiesta", term))
+
     @given(records=st.lists(record_strategy, max_size=30))
     def test_subset_and_order_preserving(self, records):
         kept = filter_keywords(records, KeywordQuery(terms=("fiesta", "4sq.com")))

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from geozones.clustering import DbscanConfig, KMeansConfig, dbscan, kmeans
-from geozones.coverage import (
-    coverage_circle,
-    coverage_radius,
-    point_of_means,
-    summarize,
-)
+from geozones.clustering import DbscanConfig, KMeansConfig, Labeling, dbscan, kmeans
+from geozones.coverage import coverage_circle, point_of_means, summarize
 from geozones.errors import ConfigError
 from geozones.geo import GeoPoint, haversine_distance
 
@@ -35,6 +30,16 @@ def synthetic_cluster_with(mean: GeoPoint, distant: GeoPoint, n_filler_pairs: in
     return members
 
 
+def one_cluster_radius(members):
+    """(distant point, radius) that ``summarize`` reports when every member is in cluster 0."""
+    mean = point_of_means(members)
+    labeling = Labeling(
+        labels=np.zeros(len(members), dtype=np.intp), centers=np.array([[mean.lat_deg, mean.lon_deg]]), wcss=0.0
+    )
+    [summary] = summarize(labeling, members)
+    return summary.distant_point, summary.radius_km
+
+
 class TestPointOfMeans:
     def test_two_points(self):
         assert point_of_means([GeoPoint(0, 0), GeoPoint(2, 2)]) == GeoPoint(1, 1)
@@ -60,7 +65,7 @@ class TestCoverageRadius:
         mean = GeoPoint(6.2412, -75.5795)
         distant = GeoPoint(6.273949, -75.57941)
         members = synthetic_cluster_with(mean, distant, n_filler_pairs=20, spread=0.005, seed=2)
-        got_distant, radius = coverage_radius(members)
+        got_distant, radius = one_cluster_radius(members)
         assert got_distant == distant
         assert abs(radius - 3.622) / 3.622 <= 0.01
 
@@ -71,21 +76,21 @@ class TestCoverageRadius:
         mean = GeoPoint(6.18991, -75.58002)
         distant = GeoPoint(6.354782, -75.49676)
         members = synthetic_cluster_with(mean, distant, n_filler_pairs=40, spread=0.02, seed=3)
-        _, radius = coverage_radius(members)
+        _, radius = one_cluster_radius(members)
         assert radius == pytest.approx(slc_distance_km(mean, distant), abs=1e-6)
         assert radius == pytest.approx(20.513053735913155, abs=1e-6)
         assert abs(radius - 2.855) > 17.0
 
     def test_singleton_radius_zero(self):
         p = GeoPoint(6.2, -75.5)
-        distant, radius = coverage_radius([p])
+        distant, radius = one_cluster_radius([p])
         assert distant == p
         assert radius == 0.0
 
     def test_radius_is_exact_member_maximum(self):
         rng = np.random.default_rng(4)
         members = [GeoPoint(6 + a, -75 + b) for a, b in rng.normal(0, 0.05, (200, 2))]
-        distant, radius = coverage_radius(members)
+        distant, radius = one_cluster_radius(members)
         mean = point_of_means(members)
         distances = [haversine_distance(mean, m) for m in members]
         assert radius == max(distances)
@@ -95,7 +100,7 @@ class TestCoverageRadius:
         # Equator-symmetric pair: the mean latitude is exactly 0 and both
         # separations reduce to bit-identical trig evaluations.
         pair = [GeoPoint(1.0, -75.0), GeoPoint(-1.0, -75.0)]
-        distant, radius = coverage_radius(pair)
+        distant, radius = one_cluster_radius(pair)
         assert distant == pair[0]
         assert radius > 0
 
@@ -103,20 +108,16 @@ class TestCoverageRadius:
         rng = np.random.default_rng(11)
         for _ in range(50):
             members = [GeoPoint(6 + a, -75 + b) for a, b in rng.normal(0, 0.05, (30, 2))]
-            _, radius_old = coverage_radius(members)
+            _, radius_old = one_cluster_radius(members)
             mean_old = point_of_means(members)
             # A point strictly inside the current circle.
             inner = GeoPoint(mean_old.lat_deg + 1e-4, mean_old.lon_deg - 1e-4)
             assert haversine_distance(mean_old, inner) < radius_old
             grown = members + [inner]
-            _, radius_new = coverage_radius(grown)
+            _, radius_new = one_cluster_radius(grown)
             mean_new = point_of_means(grown)
             shift = haversine_distance(mean_old, mean_new)
             assert radius_new <= radius_old + shift + 1e-9
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            coverage_radius([])
 
 
 class TestCoverageCircle:
@@ -199,6 +200,15 @@ class TestSummarize:
             )
             best = max(haversine_distance(mean, m) for m in members)
             assert s.radius_km == pytest.approx(best, rel=1e-12)
+
+    def test_cluster_without_members_skipped(self):
+        points = [GeoPoint(6.0, -75.5), GeoPoint(6.4, -75.2)]
+        labeling = Labeling(
+            labels=np.array([0, 2]), centers=np.array([[6.0, -75.5], [6.2, -75.3], [6.4, -75.2]]), wcss=0.0
+        )
+        summaries = summarize(labeling, points)
+        assert [s.cluster_id for s in summaries] == [0, 2]
+        assert [s.point_of_means for s in summaries] == points
 
     def test_mismatched_lengths_rejected(self):
         points = [GeoPoint(0, 0), GeoPoint(1, 1)]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from geozones import ingest
 from geozones.errors import ConfigError, ParseError, SchemaError, StorageError
 from geozones.geo import GeoPoint
 from geozones.ingest import (
@@ -76,6 +77,13 @@ class TestParseTweet:
         with pytest.raises(SchemaError):
             parse_tweet(payload)
 
+    @pytest.mark.parametrize("field", ["source", "text"])
+    def test_lone_surrogate_rejected(self, field):
+        payload = json.dumps({"source": "s", "text": "t", field: "fiesta \ud800"})
+        with pytest.raises(SchemaError) as excinfo:
+            parse_tweet(payload)
+        assert excinfo.value.path == f"tweet.{field}"
+
     def test_unicode_escapes_decoded(self):
         tweet = parse_tweet('{"source": "\\u003Cb\\u003E", "text": "caf\\u00e9"}')
         assert tweet.source == "<b>"
@@ -94,8 +102,9 @@ class TestParseTweet:
         text=st.text(max_size=140),
     )
     def test_round_trip(self, point, source, text):
-        tweet = RawTweet(coordinates=point, source=source, text=text)
-        assert parse_tweet(json.dumps(tweet.to_payload())) == tweet
+        block = None if point is None else {"coordinates": [point.lon_deg, point.lat_deg], "type": "Point"}
+        payload = {"coordinates": block, "source": source, "text": text}
+        assert parse_tweet(json.dumps(payload)) == RawTweet(coordinates=point, source=source, text=text)
 
 
 class TestParsePhotoSearch:
@@ -138,6 +147,17 @@ class TestParsePhotoSearch:
         with pytest.raises(SchemaError):
             parse_photo_search("<photos page='5' pages='2' perpage='10' total='11'/>")
 
+    @pytest.mark.parametrize(
+        "attr, value",
+        [("pages", "1_0"), ("page", "+1"), ("perpage", " 10"), ("total", "1 "), ("page", "\u0661"), ("total", "1.0")],
+    )
+    def test_integer_attribute_must_be_ascii_digits(self, attr, value):
+        attrs = {"page": "1", "pages": "1", "perpage": "10", "total": "1", attr: value}
+        payload = "<photos " + " ".join(f"{k}='{v}'" for k, v in attrs.items()) + "/>"
+        with pytest.raises(SchemaError) as excinfo:
+            parse_photo_search(payload)
+        assert excinfo.value.path == f"photos.{attr}"
+
 
 class TestParsePhotoGeo:
     def test_geo_entity_fixture(self, photo_geo_payload):
@@ -164,6 +184,37 @@ class TestParsePhotoGeo:
     def test_missing_location(self):
         with pytest.raises(SchemaError):
             parse_photo_geo("<photo id='1'/>")
+
+    @staticmethod
+    def _geo(latitude="6.2", longitude="-75.5", accuracy="6"):
+        return parse_photo_geo(
+            f"<photo id='1'><location latitude='{latitude}' longitude='{longitude}' accuracy='{accuracy}'/></photo>"
+        )
+
+    @pytest.mark.parametrize(
+        "attr, value",
+        [
+            ("latitude", "6_2"),
+            ("longitude", "-75_5"),
+            ("latitude", "\u0666.2"),
+            ("latitude", " 6.2"),
+            ("longitude", "-75.5 "),
+            ("latitude", "nan"),
+            ("latitude", "0x6"),
+            ("accuracy", "1_6"),
+            ("accuracy", "\u0666"),
+            ("accuracy", " 6"),
+            ("accuracy", "+6"),
+        ],
+    )
+    def test_number_must_be_ascii_literal(self, attr, value):
+        with pytest.raises(SchemaError) as excinfo:
+            self._geo(**{attr: value})
+        assert excinfo.value.path == ("photo.location.accuracy" if attr == "accuracy" else "photo.location")
+
+    @pytest.mark.parametrize("raw", ["6", "6.", ".5", "+6.2", "-0.5", "6.2e-05", "1E1", repr(6.123456789012345)])
+    def test_plain_float_forms_accepted(self, raw):
+        assert self._geo(latitude=raw).location.lat_deg == float(raw)
 
 
 class TestReplaySource:
@@ -195,10 +246,11 @@ class TestReplaySource:
         write_tweet_file(tmp_path, "a.json", GeoPoint(6.2, -75.5))
         (tmp_path / "b.json").write_text("{", encoding="utf-8")
         (tmp_path / "c.json").write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+        (tmp_path / "d.json").write_text('{"text": "fiesta \\ud800"}', encoding="utf-8")
         records, summary = self._drain(tmp_path, "tweet")
         assert len(records) == 1
-        assert (summary.parsed, summary.skipped) == (1, 2)
-        assert [name for name, _ in summary.failures] == ["b.json", "c.json"]
+        assert (summary.parsed, summary.skipped) == (1, 3)
+        assert [name for name, _ in summary.failures] == ["b.json", "c.json", "d.json"]
 
     @pytest.mark.parametrize(
         "kind, name, payload",
@@ -249,6 +301,29 @@ class TestReplaySource:
             PhotoRecord(photo_id="123", name="mirador", location=GeoPoint(6.24, -75.58), accuracy=8)
         ]
         assert (summary.parsed, summary.skipped) == (1, 0)
+
+    def test_each_photo_file_parsed_once(self, tmp_path, monkeypatch):
+        (tmp_path / "10_search.xml").write_text(
+            "<photos page='1' pages='1' perpage='10' total='1'><photo id='123' title='mirador'/></photos>",
+            encoding="utf-8",
+        )
+        (tmp_path / "20_geo.xml").write_text(
+            "<photo id='123'><location latitude='6.24' longitude='-75.58' accuracy='8'/></photo>",
+            encoding="utf-8",
+        )
+        (tmp_path / "30_other.xml").write_text("<video id='1'/>", encoding="utf-8")
+        calls = []
+        fromstring = ingest.ET.fromstring
+
+        def counting(text, *args, **kwargs):
+            calls.append(text)
+            return fromstring(text, *args, **kwargs)
+
+        monkeypatch.setattr("geozones.ingest.ET.fromstring", counting)
+        records, summary = self._drain(tmp_path, "photo")
+        assert len(calls) == 3
+        assert [r.name for r in records] == ["mirador"]
+        assert summary.failures == [("30_other.xml", "unrecognized root element <video>")]
 
     def test_photo_geo_without_search_title(self, tmp_path):
         (tmp_path / "geo.xml").write_text(

@@ -17,7 +17,7 @@ from geozones.corpus import BoundingBox, KeywordQuery
 from geozones.errors import EmptyCorpusError
 from geozones.geo import GeoPoint
 from geozones.pipeline import PipelineConfig, run_pipeline
-from geozones.store import DocumentStore
+from geozones.store import DocumentStore, canonical_json
 
 from .conftest import (
     BUG_POINT,
@@ -179,6 +179,17 @@ class TestIngestCommand:
         captured = capsys.readouterr()
         assert "skipped bad.json" in captured.err
 
+    def test_lone_surrogate_file_skipped_and_later_files_stored(self, tmp_path, capsys):
+        src = tmp_path / "in"
+        src.mkdir()
+        (src / "a.json").write_text('{"text": "fiesta \\ud800"}', encoding="utf-8")
+        write_tweet_file(src, "b.json", GeoPoint(6.2, -75.5))
+        stats = ingest_command(src, "tweet", tmp_path / "store")
+        assert stats.tweet_count == 1
+        captured = capsys.readouterr()
+        assert "parsed 1 record(s), skipped 1 file(s)" in captured.out
+        assert "skipped a.json: text must be valid UTF-8" in captured.err
+
     def test_photo_directory(self, tmp_path):
         src = tmp_path / "in"
         src.mkdir()
@@ -319,6 +330,27 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert "vertex_count" in err
         assert str(missing) not in err
+
+    def test_combining_mark_keyword_exit_code(self, tmp_path, capsys):
+        store = self._ingest_blobs(tmp_path)
+        capsys.readouterr()
+        assert main(["pipeline", "--store", str(store), "--min-pts", "3", "--keyword", "\u0301"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "keyword" in captured.err
+
+    def test_off_schema_stored_body_exit_code(self, tmp_path, capsys):
+        store = self._ingest_blobs(tmp_path)
+        path = store / "tweet.jsonl"
+        n_lines = len(path.read_bytes().splitlines())
+        body = {"coordinates": None, "source": "app"}
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(canonical_json({"doc_id": n_lines, "len": len(canonical_json(body)), "body": body}) + "\n")
+        capsys.readouterr()
+        assert main(["pipeline", "--store", str(store), "--min-pts", "3"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"{path}:{n_lines + 1}:" in err
+        assert "tweet.text" in err
 
     def test_nan_tolerance_exit_code(self, tmp_path, capsys):
         store = self._ingest_blobs(tmp_path)

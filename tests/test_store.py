@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from geozones.errors import SchemaError, StorageError
 from geozones.geo import GeoPoint
 from geozones.ingest import PhotoRecord, RawTweet
-from geozones.store import DocumentStore, photo_body, tweet_body
+from geozones.store import DocumentStore, canonical_json, photo_body, tweet_body
 
 VALID_PHOTO = {"geo": {"latitude": 6.24, "longitude": -75.58, "accuracy": 6}, "name": "parque"}
 VALID_TWEET = {
@@ -57,6 +57,27 @@ class TestPut:
                 store.put("tweet", {"source": "app"})
             assert store.stats().tweet_count == 0
 
+    @pytest.mark.parametrize(
+        "collection, body, path",
+        [
+            ("tweet", dict(VALID_TWEET, text="fiesta \ud800"), "tweet.text"),
+            ("tweet", dict(VALID_TWEET, source="\udfff"), "tweet.source"),
+            ("photo", dict(VALID_PHOTO, name="parque \ud800"), "photo.name"),
+        ],
+        ids=["text", "source", "name"],
+    )
+    def test_lone_surrogate_rejected_and_nothing_written(self, tmp_path, collection, body, path):
+        valid = VALID_TWEET if collection == "tweet" else VALID_PHOTO
+        file = tmp_path / f"{collection}.jsonl"
+        with DocumentStore(tmp_path) as store:
+            store.put(collection, valid)
+            size = file.stat().st_size
+            with pytest.raises(SchemaError) as excinfo:
+                store.put(collection, body)
+            assert excinfo.value.path == path
+            assert file.stat().st_size == size
+            assert store.put(collection, valid) == 1
+
     def test_durability_across_reopen(self, tmp_path):
         with DocumentStore(tmp_path) as store:
             doc_id = store.put("photo", VALID_PHOTO)
@@ -92,6 +113,28 @@ class TestScan:
         with DocumentStore(tmp_path) as store:
             with pytest.raises(StorageError):
                 list(store.scan("tweet"))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {k: v for k, v in VALID_TWEET.items() if k != "text"},
+            dict(VALID_TWEET, text="fiesta \ud800"),
+            dict(VALID_TWEET, coordinates={"type": "Point", "coordinates": {"latitude": 95.0, "longitude": 0.0}}),
+        ],
+        ids=["missing-text", "lone-surrogate", "latitude-out-of-range"],
+    )
+    def test_off_schema_body_names_line(self, tmp_path, body):
+        with DocumentStore(tmp_path) as store:
+            store.put("tweet", VALID_TWEET)
+        path = tmp_path / "tweet.jsonl"
+        # An intact envelope with the right length; only the body breaks the schema.
+        declared = len(canonical_json(body).encode("utf-8", "surrogatepass"))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"doc_id": 1, "len": declared, "body": body}) + "\n")
+        with DocumentStore(tmp_path, read_only=True) as store:
+            with pytest.raises(StorageError) as excinfo:
+                list(store.scan("tweet"))
+        assert f"{path}:2:" in str(excinfo.value)
 
 
 class TestStats:
