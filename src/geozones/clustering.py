@@ -3,7 +3,9 @@
 K-means and X-means operate in degree space (plain Euclidean distance on
 (lat, lon) pairs, matching how generic numeric-attribute tooling treats
 coordinates). Density clustering alone uses the haversine metric because
-its neighborhood radius is specified in kilometers.
+its neighborhood radius is specified in kilometers. It runs on a grid whose
+cells are sized from the haversine formula itself, so it computes only the
+distances it needs and its labels still equal a full pairwise scan.
 
 Everything here is deterministic for a fixed seed: restarts derive child
 seeds from the base seed, ties break toward the lowest index, and label
@@ -19,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, CoordinateError
-from .geo import GeoPoint, haversine_to_many
+from .geo import EARTH_RADIUS_KM, GeoPoint, haversine_to_many
 
 NOISE = -1
 
@@ -62,8 +64,9 @@ class DbscanConfig:
     min_pts: int = 5
 
     def __post_init__(self):
-        if not self.eps_km > 0:
-            raise ConfigError(f"eps_km must be positive, got {self.eps_km}")
+        # Below a millimetre the grid's cells would be no taller than its rounding margin.
+        if not self.eps_km >= 1e-6:
+            raise ConfigError(f"eps_km must be at least 1e-6 (1 mm), got {self.eps_km}")
         if self.min_pts < 1:
             raise ConfigError(f"min_pts must be positive, got {self.min_pts}")
 
@@ -146,10 +149,10 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _means_by_label(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    sums = np.zeros((k, x.shape[1]), dtype=np.float64)
-    np.add.at(sums, labels, x)
+    # bincount sums each column in index order, as np.add.at does, so the bits match.
+    sums = [np.bincount(labels, weights=x[:, d], minlength=k) for d in range(x.shape[1])]
+    means = np.stack(sums, axis=1).astype(np.float64, copy=False)  # no labels gives int64
     counts = np.bincount(labels, minlength=k).astype(np.float64)
-    means = sums.copy()
     nonzero = counts > 0
     means[nonzero] /= counts[nonzero, None]
     return means, counts
@@ -310,13 +313,141 @@ def xmeans(points: Sequence[GeoPoint] | np.ndarray, cfg: XMeansConfig) -> Labeli
     return Labeling(labels=labels, centers=centers, wcss=wcss)
 
 
-def _neighbor_lists(x: np.ndarray, eps_km: float) -> list[np.ndarray]:
-    """eps-neighborhoods (inclusive of self) under the haversine metric."""
-    lats, lons = x[:, 0], x[:, 1]
-    return [
-        np.flatnonzero(haversine_to_many(GeoPoint(lat, lon), lats, lons) <= eps_km)
-        for lat, lon in x
-    ]
+# Rounding margins of the DBSCAN grid. Cells are sized for
+# h <= sin²(eps/2R)·(1 - _H_MARGIN), far outside the few-ulp error of the
+# haversine expression, and every cell edge is widened by _EDGE_DEG degrees,
+# far above the rounding of floor(lat / height) and of (lon + 180) / width.
+_H_MARGIN = 1e-6
+_EDGE_DEG = 1e-12
+# Elements per haversine block, so DBSCAN's temporaries stay at a few MB.
+_BLOCK = 1 << 16
+
+
+def _reach_rad(eps_km: float) -> float:
+    """eps as an angle, widened so a pair that computes as within eps stays in reach."""
+    return eps_km * (1.0 + _H_MARGIN) / EARTH_RADIUS_KM
+
+
+def _grid(x: np.ndarray, eps_km: float):
+    """Bucket the points into cells any two of whose points are within eps.
+
+    Returns ``(order, bounds, near_start, near)``: cell c holds the points
+    ``order[bounds[c]:bounds[c + 1]]`` in input order, and
+    ``near[near_start[c]:near_start[c + 1]]`` are the cells (c included)
+    that can hold a point within eps of one of them.
+
+    Row k holds the points with floor(lat / H) == k and is cut into equal
+    columns of longitude counted from -180 and wrapping at 180. The sizes
+    come from h = sin²(Δφ/2) + cos φa·cos φb·sin²(Δλ/2), with
+    s² = sin²(eps/2R)·(1 - margin): sin²(H/2) <= s²/2, and a row's column
+    width W has cos²(φmin)·sin²(W/2) <= s²/2, φmin being the row's smallest
+    |φ|. Two points within eps have |Δφ| <= eps/R and
+    sin(|Δλ|/2) <= sin(eps/2R)/cos(φmax), φmax the largest |φ| of their
+    rows; where that bound reaches 1 (a polar cap, or a huge eps) every
+    column is in reach.
+    """
+    s2 = math.sin(min(eps_km / (2.0 * EARTH_RADIUS_KM), math.pi / 2)) ** 2 * (1.0 - _H_MARGIN)
+    height = math.degrees(2.0 * math.asin(math.sqrt(s2 / 2.0))) - 2.0 * _EDGE_DEG
+    rows, row = np.unique(np.floor(x[:, 0] / height).astype(np.int64), return_inverse=True)
+    edges = np.abs(np.stack([rows, rows + 1]) * height)
+    phi_min = np.maximum(edges.min(axis=0) - _EDGE_DEG, 0.0)
+    phi_max = np.minimum(edges.max(axis=0) + _EDGE_DEG, 90.0)
+    t = np.minimum(math.sqrt(s2 / 2.0) / np.cos(np.radians(phi_min)), 1.0)
+    ncol = np.where(t < 1.0, np.ceil(360.0 / (np.degrees(2.0 * np.arcsin(t)) - 2.0 * _EDGE_DEG)), 1).astype(np.int64)
+    width = 360.0 / ncol
+    col = np.minimum(np.floor((x[:, 1] + 180.0) / width[row]).astype(np.int64), ncol[row] - 1)
+
+    order = np.lexsort((col, row))  # stable: input order within a cell
+    row, col = row[order], col[order]
+    starts = np.flatnonzero(np.r_[True, (row[1:] != row[:-1]) | (col[1:] != col[:-1])])
+    cell_row, cell_col = row[starts], col[starts]
+    cells = np.arange(starts.size)
+
+    # Cells in reach, found row offset by row offset as spans of columns.
+    reach = _reach_rad(eps_km)
+    reach_rows = int((math.degrees(reach) + 2.0 * _EDGE_DEG) // height) + 1
+    sin_half = math.sin(reach / 2.0) if reach < math.pi else math.inf
+    key_base = int(ncol.max())
+    keys = cell_row * key_base + cell_col
+    west = cell_col * width[cell_row] - _EDGE_DEG  # degrees east of -180
+    east = (cell_col + 1) * width[cell_row] + _EDGE_DEG
+    src, lo, hi = [], [], []
+    for dk in range(-reach_rows, reach_rows + 1):
+        target = rows[cell_row] + dk
+        rj = np.minimum(np.searchsorted(rows, target), rows.size - 1)
+        c, rj = cells[rows[rj] == target], rj[rows[rj] == target]
+        ratio = sin_half / np.cos(np.radians(np.maximum(phi_max[cell_row[c]], phi_max[rj])))
+        dlon = np.degrees(2.0 * np.arcsin(np.minimum(ratio, 1.0))) + _EDGE_DEG
+        a = np.floor((west[c] - dlon) / width[rj]).astype(np.int64)
+        b = np.floor((east[c] + dlon) / width[rj]).astype(np.int64)
+        whole = (ratio >= 1.0) | (b - a + 1 >= ncol[rj])
+        a, b = np.where(whole, 0, a), np.where(whole, ncol[rj] - 1, b)
+        # The span inside [0, ncol) and the parts wrapped across 180.
+        for first, last in ((np.maximum(a, 0), np.minimum(b, ncol[rj] - 1)), (a + ncol[rj], ncol[rj] - 1), (0, b - ncol[rj])):
+            kept = first <= last
+            src.append(c[kept])
+            lo.append(np.searchsorted(keys, (rj * key_base + first)[kept]))
+            hi.append(np.searchsorted(keys, (rj * key_base + last + 1)[kept]))
+    src, lo, hi = np.concatenate(src), np.concatenate(lo), np.concatenate(hi)
+    counts = hi - lo
+    near = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    owner = np.repeat(src, counts)
+    by_cell = np.argsort(owner, kind="stable")
+    near_start = np.searchsorted(owner[by_cell], np.arange(cells.size + 1))
+    return order, np.r_[starts, x.shape[0]], near_start, near[by_cell]
+
+
+def _h_floor(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Lower bound on the haversine h between any point of box p and of box q.
+
+    Rows are (lat_lo, lat_hi, lon_lo, lon_hi) in degrees, longitudes not
+    wrapped inside a box; the longitude gap is taken around the circle.
+    """
+    dlat = np.maximum(0.0, np.maximum(q[:, 0] - p[:, 1], p[:, 0] - q[:, 1]))
+    inside = np.maximum(0.0, np.maximum(q[:, 2] - p[:, 3], p[:, 2] - q[:, 3]))
+    dlon = np.minimum(inside, np.minimum(q[:, 2] - p[:, 3], p[:, 2] - q[:, 3]) + 360.0)
+    phi = np.maximum(np.abs(p[:, :2]).max(axis=1), np.abs(q[:, :2]).max(axis=1))
+    return np.sin(np.radians(dlat) / 2.0) ** 2 + np.cos(np.radians(phi)) ** 2 * np.sin(np.radians(dlon) / 2.0) ** 2
+
+
+def _eps_blocks(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, eps_km: float):
+    """Yield (i, j, within) tiles of the eps test between two index sets.
+
+    ``within[a, b]`` says point ``rows[i + a]`` is within ``eps_km`` of point
+    ``cols[j + b]``, computed with ``rows[i + a]`` as the origin. Each tile
+    holds at most ``_BLOCK`` elements.
+    """
+    col_step = min(len(cols), _BLOCK)
+    row_step = max(1, _BLOCK // col_step)
+    for j in range(0, len(cols), col_step):
+        targets = x[cols[j : j + col_step]]
+        for i in range(0, len(rows), row_step):
+            yield i, j, haversine_to_many(x[rows[i : i + row_step]], targets[:, 0], targets[:, 1]) <= eps_km
+
+
+def _box(p: np.ndarray) -> np.ndarray:
+    """The (1, 4) box of (lat, lon) rows, in the layout ``_h_floor`` takes."""
+    return np.array([[p[:, 0].min(), p[:, 0].max(), p[:, 1].min(), p[:, 1].max()]])
+
+
+def _touch(x: np.ndarray, p: np.ndarray, q: np.ndarray, eps_km: float, limit: float) -> bool:
+    """Whether some point of ``p`` lies within eps of some point of ``q``.
+
+    Small pairs are one haversine block. Otherwise the larger set is halved
+    at the median of its wider side; a half whose box has an h floor above
+    ``limit`` against the other set's box is dropped, and the nearer half
+    is searched first, so the search stops at the first pair within eps.
+    """
+    if p.size * q.size <= _BLOCK:
+        return bool((haversine_to_many(x[p], x[q, 0], x[q, 1]) <= eps_km).any())
+    if p.size < q.size:
+        p, q = q, p  # the distance is symmetric
+    box_q = _box(x[q])
+    axis = int(np.ptp(x[p, 1]) > np.ptp(x[p, 0]))
+    split = np.argpartition(x[p, axis], p.size // 2)
+    halves = [p[split[: p.size // 2]], p[split[p.size // 2 :]]]
+    floors = [float(_h_floor(_box(x[h]), box_q)[0]) for h in halves]
+    return any(_touch(x, halves[i], q, eps_km, limit) for i in np.argsort(floors) if floors[i] <= limit)
 
 
 def dbscan(points: Sequence[GeoPoint] | np.ndarray, cfg: DbscanConfig) -> Labeling:
@@ -325,33 +456,92 @@ def dbscan(points: Sequence[GeoPoint] | np.ndarray, cfg: DbscanConfig) -> Labeli
     A point is core when at least ``min_pts`` points (itself included) sit
     within ``eps_km``. Clusters are the connected components of core points
     plus their border points; everything unreachable is NOISE. Cluster ids
-    follow the input order of each cluster's first core point, and border
-    points land in the earliest cluster that reaches them, so the result is
-    deterministic.
+    follow the input order of each cluster's first core point, and a border
+    point takes the lowest cluster id among the core points within eps, so
+    the result is deterministic.
+
+    This is the exact grid method of Gan & Tao (SIGMOD 2015) on the sphere.
+    Any two points of one cell compute as within eps (see ``_grid``), so a
+    cell of at least ``min_pts`` points is all core with no distance
+    computed, and the core points of a cell are connected. The points of
+    sparser cells count their neighbours in the cells in reach. Cells with
+    core points are joined by a union-find, nearest pairs of cells first,
+    each test stopping at the first core pair within eps. Every within-eps
+    test evaluates ``haversine_to_many`` from the same origin as a full
+    neighbour scan would, so the labels equal the exhaustive result.
     """
     x = points_array(points)
     n = x.shape[0]
     if n == 0:
         raise ConfigError("density clustering needs at least one point")
-    neighbors = _neighbor_lists(x, cfg.eps_km)
-    core = np.array([len(nb) >= cfg.min_pts for nb in neighbors], dtype=bool)
+    eps, min_pts = cfg.eps_km, cfg.min_pts
+    order, bounds, near_start, near = _grid(x, eps)
+    n_cells = bounds.size - 1
+    sizes = np.diff(bounds)
+    cells = np.split(order, bounds[1:-1])
 
+    def gather(pool, c):
+        return np.concatenate([pool[b] for b in near[near_start[c] : near_start[c + 1]]])
+
+    core = np.empty(n, dtype=bool)
+    core[order] = np.repeat(sizes >= min_pts, sizes)
+    sparse = np.flatnonzero(sizes < min_pts)
+    for c in sparse:
+        counts = np.zeros(sizes[c], dtype=np.int64)
+        for i, _, within in _eps_blocks(x, cells[c], gather(cells, c), eps):
+            counts[i : i + len(within)] += within.sum(axis=1)
+        core[cells[c]] = counts >= min_pts
+
+    # Join cells holding core points, pairs with the nearest core boxes first.
+    core_of = [cell[core[cell]] for cell in cells]
+    core_xy = np.where(core[order, None], x[order], np.nan)  # in cell order
+    lows, highs = np.fmin.reduceat(core_xy, bounds[:-1]), np.fmax.reduceat(core_xy, bounds[:-1])
+    boxes = np.c_[lows[:, 0], highs[:, 0], lows[:, 1], highs[:, 1]]  # NaN for a cell without core
+    reach = _reach_rad(eps)
+    limit = math.sin(reach / 2.0) ** 2 if reach < math.pi else math.inf
+    src = np.repeat(np.arange(n_cells), np.diff(near_start))
+    a, b = src[src < near], near[src < near]
+    floor = _h_floor(boxes[a], boxes[b])
+    kept = np.flatnonzero(floor <= limit)  # NaN, no core on one side, is never kept
+    kept = kept[np.argsort(floor[kept], kind="stable")]
+    parent = list(range(n_cells))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for a, b in zip(a[kept].tolist(), b[kept].tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb and _touch(x, core_of[a], core_of[b], eps, limit):
+            parent[max(ra, rb)] = min(ra, rb)
+
+    # Number the components by the input order of their first core point.
+    cell_of = np.empty(n, dtype=np.int64)
+    cell_of[order] = np.repeat(np.arange(n_cells), sizes)
+    core_idx = np.flatnonzero(core)
+    component = np.array([find(c) for c in range(n_cells)], dtype=np.int64)[cell_of[core_idx]]
+    _, first = np.unique(component, return_index=True)
+    cluster_of = np.empty(n_cells, dtype=np.int64)
+    cluster_of[component[np.sort(first)]] = np.arange(first.size)
     labels = np.full(n, NOISE, dtype=np.int64)
-    cluster_id = 0
-    for i in np.flatnonzero(core):
-        if labels[i] != NOISE:
+    labels[core_idx] = cluster_of[component]
+
+    # Border points, all in sparse cells, take the lowest adjacent cluster.
+    for c in sparse:
+        border = cells[c][~core[cells[c]]]
+        candidates = gather(core_of, c)
+        if border.size == 0 or candidates.size == 0:
             continue
-        labels[i] = cluster_id
-        frontier = [i]  # labelled core points whose neighbours are not yet taken
-        while frontier:
-            nb = neighbors[frontier.pop()]
-            reached = nb[labels[nb] == NOISE]  # a border point keeps its earlier cluster
-            labels[reached] = cluster_id
-            frontier.extend(reached[core[reached]])
-        cluster_id += 1
+        best = np.full(border.size, n, dtype=np.int64)
+        for i, j, within in _eps_blocks(x, border, candidates, eps):
+            reached = np.where(within, labels[candidates[j : j + within.shape[1]]], n).min(axis=1)
+            np.minimum(best[i : i + len(within)], reached, out=best[i : i + len(within)])
+        labels[border[best < n]] = best[best < n]
 
     clustered = labels != NOISE
-    centers, _ = _means_by_label(x[clustered], labels[clustered], cluster_id)
+    centers, _ = _means_by_label(x[clustered], labels[clustered], first.size)
     return Labeling(labels=labels, centers=centers, wcss=_wcss(x[clustered], centers, labels[clustered]))
 
 

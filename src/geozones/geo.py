@@ -65,13 +65,24 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> DistanceKm:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(max(0.0, h))))
 
 
-def haversine_to_many(origin: GeoPoint, lats_deg: np.ndarray, lons_deg: np.ndarray) -> np.ndarray:
-    """Vectorized haversine distances from ``origin`` to arrays of coordinates."""
-    lat1 = degrees_to_radians(origin.lat_deg)
-    lats = np.asarray(lats_deg) * _DEG_TO_RAD
-    dlat = (np.asarray(lats_deg) - origin.lat_deg) * _DEG_TO_RAD
-    dlon = (np.asarray(lons_deg) - origin.lon_deg) * _DEG_TO_RAD
-    h = np.sin(dlat / 2.0) ** 2 + math.cos(lat1) * np.cos(lats) * np.sin(dlon / 2.0) ** 2
+def haversine_to_many(
+    origin: GeoPoint | np.ndarray, lats_deg: np.ndarray, lons_deg: np.ndarray
+) -> np.ndarray:
+    """Vectorized haversine distances from ``origin`` to arrays of coordinates.
+
+    ``origin`` is one ``GeoPoint``, giving an ``(n,)`` row, or an ``(m, 2)``
+    array of (lat, lon) rows, giving an ``(m, n)`` block. A point is the
+    one-row case of the block expression, which is evaluated element by
+    element, so block row i equals the call from point i bit for bit, and
+    d(a, b) == d(b, a) (the two differences only change sign).
+    """
+    if isinstance(origin, GeoPoint):
+        return haversine_to_many(np.array([[origin.lat_deg, origin.lon_deg]]), lats_deg, lons_deg)[0]
+    lat1, lon1 = origin[:, 0:1], origin[:, 1:2]
+    lats = np.asarray(lats_deg, dtype=np.float64)
+    dlat = (lats - lat1) * _DEG_TO_RAD
+    dlon = (np.asarray(lons_deg, dtype=np.float64) - lon1) * _DEG_TO_RAD
+    h = np.sin(dlat / 2.0) ** 2 + np.cos(lat1 * _DEG_TO_RAD) * np.cos(lats * _DEG_TO_RAD) * np.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 

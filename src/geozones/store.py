@@ -220,7 +220,8 @@ class DocumentStore:
                 declared = envelope["len"]
                 doc_id = envelope["doc_id"]
                 validate_body(collection, body)
-            except (ValueError, KeyError, UnicodeDecodeError) as exc:  # SchemaError is a ValueError
+            # SchemaError is a ValueError; TypeError is a line that is JSON but no object.
+            except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
                 raise StorageError(f"corrupt record at {path}:{lineno + 1}: {exc}") from exc
             actual = len(canonical_json(body).encode("utf-8"))
             if actual != declared:

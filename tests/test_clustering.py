@@ -1,12 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geozones import clustering
 from geozones.clustering import (
+    _EDGE_DEG,
+    _H_MARGIN,
     NOISE,
     DbscanConfig,
     KMeansConfig,
     XMeansConfig,
     _bic,
+    _grid,
     _lloyd,
     dbscan,
     format_cluster_report,
@@ -15,10 +23,35 @@ from geozones.clustering import (
     xmeans,
 )
 from geozones.errors import ConfigError, CoordinateError
-from geozones.geo import GeoPoint
+from geozones.geo import EARTH_RADIUS_KM, GeoPoint, haversine_to_many
 
 from .conftest import BUG_POINT, make_blobs
 from .oracles import brute_force_dbscan, brute_force_min_wcss, kahan_mean, reference_bic
+
+
+KM_PER_DEG = 111.19492664455873  # along a meridian, R = 6371 km
+
+
+@st.composite
+def dbscan_instances(draw):
+    """Points jittered around a few centres at the scale of eps, anywhere on the globe."""
+    eps = math.exp(draw(st.floats(math.log(0.01), math.log(20_000.0))))
+    spread = eps / KM_PER_DEG * draw(st.floats(0.05, 3.0))
+    centres = draw(st.lists(st.tuples(st.floats(-90, 90), st.floats(-180, 180)), min_size=1, max_size=4))
+    offsets = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(centres) - 1), st.floats(-1, 1), st.floats(-1, 1)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    points = []
+    for i, d_lat, d_lon in offsets:
+        lat, lon = centres[i]
+        lat = min(90.0, max(-90.0, lat + d_lat * spread))
+        lon = (lon + d_lon * spread / max(math.cos(math.radians(lat)), 0.01) + 180.0) % 360.0 - 180.0
+        points.append(GeoPoint(lat, lon))
+    return points, eps, draw(st.integers(1, 8))
 
 
 def grid_points(n, seed):
@@ -296,6 +329,126 @@ class TestDbscan:
         assert np.array_equal(one.labels, two.labels)
         assert np.array_equal(one.centers, two.centers)
         assert one.wcss == two.wcss
+
+    @settings(max_examples=300, deadline=None)
+    @given(dbscan_instances())
+    def test_matches_oracle_property(self, instance):
+        points, eps, min_pts = instance
+        labeling = dbscan(points, DbscanConfig(eps_km=eps, min_pts=min_pts))
+        assert np.array_equal(labeling.labels, brute_force_dbscan(points, eps, min_pts))
+
+    def assert_oracle(self, points, eps, min_pts):
+        labels = dbscan(points, DbscanConfig(eps_km=eps, min_pts=min_pts)).labels
+        assert np.array_equal(labels, brute_force_dbscan(points, eps, min_pts))
+        return labels
+
+    def test_pair_across_antimeridian(self):
+        points = [GeoPoint(0.0, 179.9), GeoPoint(0.0, -179.9)]  # 22.2 km apart
+        assert self.assert_oracle(points, 25.0, 2).tolist() == [0, 0]
+        assert self.assert_oracle(points, 20.0, 2).tolist() == [NOISE, NOISE]
+
+    @pytest.mark.parametrize("lat", [89.99, -89.97], ids=["north", "south"])
+    def test_points_around_a_pole(self, lat):
+        # 1.1 and 3.3 km from the pole over every longitude, plus the pole itself.
+        points = [GeoPoint(lat, lon) for lon in range(-180, 180, 10)] + [GeoPoint(math.copysign(90.0, lat), 0.0)]
+        assert set(self.assert_oracle(points, 5.0, 5)) == {0}
+        self.assert_oracle(points, 2.0, 3)
+
+    @pytest.mark.parametrize("min_pts", [2, 3])
+    def test_points_exactly_eps_apart(self, min_pts):
+        step = 5.0 / KM_PER_DEG  # eps along a meridian, and along the equator
+        meridian = [GeoPoint(6.0 + i * step, -75.5) for i in range(6)]
+        equator = [GeoPoint(0.0, 100.0 + i * step) for i in range(6)]
+        self.assert_oracle(meridian, 5.0, min_pts)
+        self.assert_oracle(equator, 5.0, min_pts)
+
+    def test_pair_at_exactly_eps(self):
+        p, q = GeoPoint(6.2, -75.5), GeoPoint(6.23, -75.47)
+        eps = float(haversine_to_many(p, [q.lat_deg], [q.lon_deg])[0])
+        assert self.assert_oracle([p, q], eps, 2).tolist() == [0, 0]
+        assert self.assert_oracle([p] * 5 + [q] * 5, eps, 5).tolist() == [0] * 10
+        assert self.assert_oracle([p, q], float(np.nextafter(eps, 0)), 2).tolist() == [NOISE, NOISE]
+
+    @pytest.mark.parametrize("gap_km", [4.6, 5.1])
+    def test_dense_disks_near_eps_apart(self, gap_km, monkeypatch):
+        # Two 150-point disks whose boxes come closer than their points; tiny
+        # tiles force the chunked tests and the bisection of the core-pair search.
+        monkeypatch.setattr(clustering, "_BLOCK", 7)
+        rng = np.random.default_rng(8)
+        centre_km = 1.5 + gap_km / 2
+        points = []
+        for sign in (-1, 1):
+            angle, radius = rng.uniform(0, 2 * np.pi, 150), 1.5 * np.sqrt(rng.uniform(0, 1, 150))
+            offset = sign * centre_km / math.sqrt(2)
+            points += [
+                GeoPoint(6.2 + (offset + r * math.sin(a)) / KM_PER_DEG, -75.5 + (offset + r * math.cos(a)) / KM_PER_DEG)
+                for a, r in zip(angle, radius)
+            ]
+        labels = self.assert_oracle(points, 5.0, 5)
+        assert labels.max() == (0 if gap_km < 5.0 else 1)
+
+    def test_core_pair_in_the_farther_half(self, monkeypatch):
+        # One cell holds four points along a meridian, the next cell east two
+        # points whose box spans all four latitudes, so the bisection's two
+        # halves tie; only the upper half, searched second, reaches within eps.
+        monkeypatch.setattr(clustering, "_BLOCK", 7)
+        km_per_lon = KM_PER_DEG * math.cos(math.radians(6.226))
+        points = [GeoPoint(6.202 + i * 0.008, -75.52) for i in range(4)]
+        points += [GeoPoint(6.226, -75.52 + 4.9 / km_per_lon), GeoPoint(6.202, -75.52 + 5.5 / km_per_lon)]
+        assert _grid(points_array(points), 5.0)[1].tolist() == [0, 4, 6]
+        assert self.assert_oracle(points, 5.0, 2).tolist() == [0] * 6
+
+    def test_one_cell_of_duplicates(self):
+        points = [GeoPoint(6.2, -75.5)] * 10 + [GeoPoint(6.6, -75.1)]
+        labeling = dbscan(points, DbscanConfig(eps_km=5.0, min_pts=5))
+        assert labeling.labels.tolist() == [0] * 10 + [NOISE]
+        assert labeling.n_clusters == 1
+        self.assert_oracle(points, 5.0, 5)
+
+    def test_all_noise(self):
+        points = [GeoPoint(6.0 + i * 0.1, -75.5) for i in range(8)]  # 11 km apart
+        labeling = dbscan(points, DbscanConfig(eps_km=5.0, min_pts=2))
+        assert labeling.labels.tolist() == [NOISE] * 8
+        assert labeling.n_clusters == 0
+        assert labeling.wcss == 0.0
+        self.assert_oracle(points, 5.0, 2)
+
+    def test_min_pts_one(self):
+        rng = np.random.default_rng(31)
+        points = [GeoPoint(lat, lon) for lat, lon in zip(rng.uniform(6.0, 6.3, 60), rng.uniform(-75.8, -75.5, 60))]
+        labels = self.assert_oracle(points, 3.0, 1)
+        assert NOISE not in labels
+
+    def test_tiny_eps_rejected(self):
+        with pytest.raises(ConfigError):
+            DbscanConfig(eps_km=1e-7)
+
+    @pytest.mark.parametrize(
+        "eps, lat, lon", [(5.0, 6.2, -75.5), (0.01, -45.3, 12.0), (5.0, 0.01, 100.0), (300.0, 40.0, -3.0)]
+    )
+    def test_dense_cell_diagonal_at_the_margin(self, eps, lat, lon):
+        # The corners of one grid cell, from the sizing rule of the grid. The
+        # dense-cell shortcut makes them core without computing a distance,
+        # so every pair, the diagonal included, must compute as within eps.
+        s2 = math.sin(eps / (2 * EARTH_RADIUS_KM)) ** 2 * (1 - _H_MARGIN)
+        height = math.degrees(2 * math.asin(math.sqrt(s2 / 2))) - 2 * _EDGE_DEG
+        south = math.floor(lat / height) * height
+        phi_min = max(min(abs(south), abs(south + height)) - _EDGE_DEG, 0.0)
+        t = math.sqrt(s2 / 2) / math.cos(math.radians(phi_min))
+        width = 360.0 / math.ceil(360.0 / (math.degrees(2 * math.asin(t)) - 2 * _EDGE_DEG))
+        west = -180.0 + math.floor((lon + 180.0) / width) * width
+        inset_lat, inset_lon = 1e-9 * height, 1e-9 * width
+        points = [
+            GeoPoint(a, b)
+            for a in (south + inset_lat, south + height - inset_lat)
+            for b in (west + inset_lon, west + width - inset_lon)
+        ]
+        x = points_array(points)
+        assert _grid(x, eps)[1].tolist() == [0, 4]  # one cell
+        d = haversine_to_many(x, x[:, 0], x[:, 1])
+        assert (d <= eps).all()
+        assert d.max() > 0.99 * eps
+        assert self.assert_oracle(points, eps, 4).tolist() == [0, 0, 0, 0]
 
 
 class TestClusterReport:

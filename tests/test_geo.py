@@ -123,6 +123,22 @@ class TestHaversineDistance:
             assert batch[i] == pytest.approx(single, rel=1e-12)
 
 
+    def test_block_origin_equals_stacked_point_calls(self):
+        rng = np.random.default_rng(17)
+        origins = np.c_[rng.uniform(-90, 90, 40), rng.uniform(-180, 180, 40)]
+        lats, lons = rng.uniform(-90, 90, 300), rng.uniform(-180, 180, 300)
+        block = haversine_to_many(origins, lats, lons)
+        stacked = np.array([haversine_to_many(GeoPoint(lat, lon), lats, lons) for lat, lon in origins])
+        assert block.shape == (40, 300)
+        assert np.array_equal(block, stacked)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(finite_lat, finite_lon), min_size=1, max_size=30))
+    def test_block_is_symmetric(self, rows):
+        x = np.array(rows)
+        block = haversine_to_many(x, x[:, 0], x[:, 1])
+        assert np.array_equal(block, block.T)
+
 class TestDestinationPoint:
     def test_one_degree_north(self):
         p = destination_point(GeoPoint(0, 0), 0.0, 111.19493)

@@ -352,6 +352,16 @@ class TestCliMain:
         assert f"{path}:{n_lines + 1}:" in err
         assert "tweet.text" in err
 
+    def test_non_object_stored_line_exit_code(self, tmp_path, capsys):
+        store = self._ingest_blobs(tmp_path)
+        path = store / "tweet.jsonl"
+        n_lines = len(path.read_bytes().splitlines())
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("[1,2]\n")
+        capsys.readouterr()
+        assert main(["pipeline", "--store", str(store), "--min-pts", "3"]) == EXIT_ERROR
+        assert f"{path}:{n_lines + 1}:" in capsys.readouterr().err
+
     def test_nan_tolerance_exit_code(self, tmp_path, capsys):
         store = self._ingest_blobs(tmp_path)
         code = main(["pipeline", "--store", str(store), "--min-pts", "3", "--tolerance", "nan"])

@@ -137,6 +137,18 @@ class TestScan:
         assert f"{path}:2:" in str(excinfo.value)
 
 
+    @pytest.mark.parametrize("line", ["[1,2]", "7", '"body"', "null"], ids=["array", "number", "string", "null"])
+    def test_non_object_line_names_line(self, tmp_path, line):
+        with DocumentStore(tmp_path) as store:
+            store.put("tweet", VALID_TWEET)
+        path = tmp_path / "tweet.jsonl"
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with DocumentStore(tmp_path, read_only=True) as store:
+            with pytest.raises(StorageError) as excinfo:
+                list(store.scan("tweet"))
+        assert f"{path}:2:" in str(excinfo.value)
+
 class TestStats:
     def test_fresh_store(self, tmp_path):
         with DocumentStore(tmp_path) as store:
