@@ -121,9 +121,8 @@ def _derived_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def _sq_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, k) squared Euclidean distances in degree space."""
-    diff = x[:, None, :] - centers[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    """(n, k) squared Euclidean distances in degree space, one column at a time."""
+    return (x[:, 0, None] - centers[:, 0]) ** 2 + (x[:, 1, None] - centers[:, 1]) ** 2
 
 
 def _wcss(x: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:

@@ -1,8 +1,9 @@
 """Normalized (latitude, longitude, text) corpus and its filters.
 
-Stored documents become flat corpus records; keyword, bounding-box and
-dedup filters run before clustering. Text is reference material for
-filtering only, never part of any distance computation.
+Stored documents become columns, one row per located record; keyword,
+bounding-box and dedup filters select rows before clustering, and records
+are built only for the rows that pass the keyword filter. Text is reference
+material for filtering only, never part of any distance computation.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .errors import ConfigError
 from .geo import GeoPoint
@@ -27,6 +30,28 @@ class CorpusRecord:
     source_doc_id: int
 
 
+@dataclass(frozen=True, eq=False)
+class CorpusColumns:
+    """Located records as columns, one row per record, in store order."""
+
+    x: np.ndarray  # (n, 2) float64 (lat, lon) rows in degrees
+    # Object arrays, so a row selection picks from every column alike.
+    text: np.ndarray  # str
+    origin: np.ndarray  # "tweet" | "photo"
+    doc_id: np.ndarray  # int
+
+    def __len__(self) -> int:
+        return len(self.text)
+
+    def take(self, rows) -> CorpusColumns:
+        """The rows a boolean mask or an index list selects, in index order."""
+        return CorpusColumns(self.x[rows], self.text[rows], self.origin[rows], self.doc_id[rows])
+
+    def records(self) -> list[CorpusRecord]:
+        rows = zip(self.x.tolist(), self.text.tolist(), self.origin.tolist(), self.doc_id.tolist())
+        return [CorpusRecord(GeoPoint(lat, lon), text, origin, doc_id) for (lat, lon), text, origin, doc_id in rows]
+
+
 @dataclass(frozen=True)
 class BoundingBox:
     min_lat: float
@@ -41,13 +66,6 @@ class BoundingBox:
                 f"degenerate bounding box: lat [{self.min_lat}, {self.max_lat}], "
                 f"lon [{self.min_lon}, {self.max_lon}]"
             )
-
-    def contains(self, point: GeoPoint) -> bool:
-        """Closed-interval containment: boundary points are inside."""
-        return (
-            self.min_lat <= point.lat_deg <= self.max_lat
-            and self.min_lon <= point.lon_deg <= self.max_lon
-        )
 
 
 # Covers the Aburra and San Nicolas valleys around Medellin.
@@ -70,64 +88,52 @@ def fold_text(text: str) -> str:
     """Accent-insensitive, case-insensitive comparison key.
 
     NFD decomposition with combining marks stripped, then casefold, so
-    'Medellín' and 'medellin' compare equal.
+    'Medellín' and 'medellin' compare equal. NFD changes no ASCII text and
+    finds no mark in it, so ASCII text is only casefolded.
     """
+    if text.isascii():
+        return text.casefold()
     decomposed = unicodedata.normalize("NFD", text)
     stripped = "".join(ch for ch in decomposed if unicodedata.category(ch) != "Mn")
     return stripped.casefold()
 
 
-def normalize(doc: StoredDocument) -> CorpusRecord | None:
-    """Flatten a stored document into a corpus record.
-
-    Tweets whose coordinates block is null are dropped (None), not errors;
-    photos always carry a fix. Tweets contribute their message text; photos
-    contribute their name.
-    """
-    if doc.collection == "tweet":
-        block = doc.body.get("coordinates")
-        if block is None:
-            return None
-        inner = block["coordinates"]
-        position = GeoPoint(inner["latitude"], inner["longitude"])
-        text = doc.body["text"]
-    else:
-        geo = doc.body["geo"]
-        position = GeoPoint(geo["latitude"], geo["longitude"])
-        text = doc.body["name"]
-    return CorpusRecord(position=position, text=text, origin=doc.collection, source_doc_id=doc.doc_id)
+def normalize(docs: Iterable[StoredDocument]) -> CorpusColumns:
+    """Columns of the located records; a tweet whose coordinates block is null is dropped."""
+    xy, text, origin, doc_id = [], [], [], []
+    for doc in docs:
+        if doc.collection == "photo":
+            point, words = doc.body["geo"], doc.body["name"]
+        elif doc.body["coordinates"] is not None:
+            point, words = doc.body["coordinates"]["coordinates"], doc.body["text"]
+        else:
+            continue
+        xy.extend((point["latitude"], point["longitude"]))
+        text.append(words)
+        origin.append(doc.collection)
+        doc_id.append(doc.doc_id)
+    columns = (np.array(column, dtype=object) for column in (text, origin, doc_id))
+    return CorpusColumns(np.array(xy, dtype=np.float64).reshape(-1, 2), *columns)
 
 
-def filter_keywords(records: Iterable[CorpusRecord], query: KeywordQuery) -> list[CorpusRecord]:
-    """Keep records whose folded text contains the query terms (substring)."""
+def filter_keywords(corpus: CorpusColumns, query: KeywordQuery) -> CorpusColumns:
+    """Keep rows whose folded text contains the query terms (substring)."""
     folded_terms = [fold_text(t) for t in query.terms]
     combine = any if query.mode == "any" else all
-    kept = []
-    for record in records:
-        haystack = fold_text(record.text)
-        if combine(term in haystack for term in folded_terms):
-            kept.append(record)
-    return kept
+    hits = [combine(term in haystack for term in folded_terms) for haystack in map(fold_text, corpus.text)]
+    return corpus.take(np.array(hits, dtype=bool))
 
 
-def filter_bbox(
-    records: Iterable[CorpusRecord], box: BoundingBox
-) -> tuple[list[CorpusRecord], list[CorpusRecord]]:
-    """Partition records into (inside, purged) by closed-interval containment."""
-    inside, purged = [], []
-    for record in records:
-        (inside if box.contains(record.position) else purged).append(record)
-    return inside, purged
+def filter_bbox(corpus: CorpusColumns, box: BoundingBox) -> tuple[CorpusColumns, CorpusColumns]:
+    """Partition rows into (inside, purged) by closed-interval containment."""
+    lat, lon = corpus.x[:, 0], corpus.x[:, 1]
+    inside = (box.min_lat <= lat) & (lat <= box.max_lat) & (box.min_lon <= lon) & (lon <= box.max_lon)
+    return corpus.take(inside), corpus.take(~inside)
 
 
-def dedupe(records: Iterable[CorpusRecord]) -> list[CorpusRecord]:
+def dedupe(corpus: CorpusColumns) -> CorpusColumns:
     """Drop exact duplicates by (position, text, origin), keeping the first."""
-    seen = set()
-    kept = []
-    for record in records:
-        key = (record.position.lat_deg, record.position.lon_deg, record.text, record.origin)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(record)
-    return kept
+    first_row = {}
+    for row, key in enumerate(zip(map(tuple, corpus.x.tolist()), corpus.text, corpus.origin)):
+        first_row.setdefault(key, row)
+    return corpus.take(list(first_row.values()))

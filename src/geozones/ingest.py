@@ -140,6 +140,8 @@ def _xml_root(payload: str, what: str) -> ET.Element:
         return ET.fromstring(payload)
     except ET.ParseError as exc:
         raise ParseError(f"malformed {what} XML: {exc}", position=exc.position) from exc
+    except UnicodeEncodeError:  # a lone surrogate: the parser encodes the text to UTF-8 first
+        raise SchemaError(f"{what} XML must be valid UTF-8", path="photo") from None
 
 
 def _require_attr(elem: ET.Element, name: str, context: str) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .clustering import (
@@ -12,7 +13,6 @@ from .clustering import (
     XMeansConfig,
     dbscan,
     format_cluster_report,
-    points_array,
     xmeans,
 )
 from .corpus import (
@@ -62,16 +62,11 @@ class PipelineResult:
 
 
 def build_corpus(store: DocumentStore, keywords: KeywordQuery, bbox: BoundingBox):
-    """Scan, normalize and filter the store into (records, purged)."""
-    records = []
-    for collection in ("tweet", "photo"):
-        for doc in store.scan(collection):
-            record = normalize(doc)
-            if record is not None:
-                records.append(record)
-    records = filter_keywords(records, keywords)
-    inside, purged = filter_bbox(records, bbox)
-    return dedupe(inside), purged
+    """Scan and filter the store into (records, purged, x), x holding the records' (lat, lon) rows."""
+    located = normalize(chain(store.scan("tweet"), store.scan("photo")))
+    inside, purged = filter_bbox(filter_keywords(located, keywords), bbox)
+    kept = dedupe(inside)
+    return kept.records(), purged.records(), kept.x
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
@@ -81,11 +76,10 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     density clustering marks everything as noise).
     """
     with DocumentStore(cfg.store_dir, read_only=True) as store:
-        records, purged = build_corpus(store, cfg.keywords, cfg.bbox)
+        records, purged, x = build_corpus(store, cfg.keywords, cfg.bbox)
     if not records:
         raise EmptyCorpusError("empty corpus: no records survived filtering")
 
-    x = points_array([r.position for r in records])
     keep = dbscan(x, cfg.dbscan).labels != NOISE
     kept = [r for r, k in zip(records, keep) if k]
     noise = [r for r, k in zip(records, keep) if not k]

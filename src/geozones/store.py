@@ -6,10 +6,12 @@ On-disk layout under the store directory:
     photo.jsonl   same
     LOCK          advisory lock file; the writer holds an exclusive flock
 
-Each line is an envelope ``{"doc_id": n, "len": m, "body": {...}}`` where
-``len`` is the byte length of the canonical serialization of ``body`` and
-doubles as a per-line integrity check on read. ``doc_id`` is the insertion
-sequence number within its collection, so ids are deterministic.
+Each line is the canonical envelope ``{"body":{...},"doc_id":n,"len":m}``;
+``doc_id`` is the insertion sequence number within its collection. On read,
+a line must be exactly that frame, with a body (the bytes between
+``{"body":`` and the suffix) of m bytes, parsed and validated but never
+re-serialized. Any other line, such as one with spaces, another key order
+or a signed or zero-padded number, raises StorageError naming path:line.
 
 Document bodies follow a fixed two-collection schema:
 
@@ -23,18 +25,22 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import SchemaError, StorageError
 from .ingest import PhotoRecord, RawTweet
 
 COLLECTIONS = ("tweet", "photo")
 
+_decode_json = json.JSONDecoder().raw_decode  # json.loads minus argument handling and whitespace skipping
+# A stored line: the canonical envelope, whose "body" key sorts first.
+_FRAME = re.compile(rb'\{"body":(.*),"doc_id":(0|[1-9][0-9]*),"len":(0|[1-9][0-9]*)\}\n?', re.DOTALL)
 
-@dataclass(frozen=True)
-class StoredDocument:
+
+class StoredDocument(NamedTuple):
     collection: str
     body: dict
     doc_id: int
@@ -68,9 +74,10 @@ def _check_str(value, path: str):
 
 
 def _require(body: dict, key: str, path: str):
-    if not isinstance(body, dict) or key not in body:
-        raise SchemaError(f"missing required field {path}", path=path)
-    return body[key]
+    try:
+        return body[key]
+    except (KeyError, TypeError):  # the key is missing, or ``body`` is no object
+        raise SchemaError(f"missing required field {path}", path=path) from None
 
 
 def validate_body(collection: str, body: dict):
@@ -190,11 +197,10 @@ class DocumentStore:
             raise StorageError("store opened read-only")
         validate_body(collection, body)
         doc_id = self._counts[collection]
-        body_text = canonical_json(body)
-        line = canonical_json({"doc_id": doc_id, "len": len(body_text.encode("utf-8")), "body": body})
+        raw = canonical_json(body).encode("utf-8")
         try:
             with open(self._path(collection), "ab") as fh:
-                fh.write(line.encode("utf-8") + b"\n")
+                fh.write(b'{"body":%s,"doc_id":%d,"len":%d}\n' % (raw, doc_id, len(raw)))
                 fh.flush()
                 os.fsync(fh.fileno())
         except OSError as exc:
@@ -203,32 +209,34 @@ class DocumentStore:
         return doc_id
 
     def scan(self, collection: str) -> Iterator[StoredDocument]:
-        """Yield documents of one collection in insertion order."""
+        """Yield documents of one collection in insertion order, one line at a time."""
         if collection not in COLLECTIONS:
             raise SchemaError(f"unknown collection {collection!r}", path=collection)
         path = self._path(collection)
         if not path.exists():
             return
         try:
-            lines = path.read_bytes().splitlines()
+            with open(path, "rb") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    frame = _FRAME.fullmatch(line)
+                    try:
+                        if frame is None:
+                            raise ValueError("not a canonical envelope")
+                        raw, doc_id, declared = frame.groups()
+                        if declared != b"%d" % len(raw):
+                            raise ValueError(f"body is {len(raw)} bytes, len says {declared.decode()}")
+                        body, end = _decode_json(text := raw.decode("utf-8"))
+                        if end != len(text):
+                            raise ValueError(f"extra data after the body at character {end}")
+                        validate_body(collection, body)
+                        doc = StoredDocument(collection, body, int(doc_id))
+                    # SchemaError and UnicodeDecodeError are ValueErrors, as is an over-long number;
+                    # a body nested too deeply for the decoder raises RecursionError.
+                    except (ValueError, RecursionError) as exc:
+                        raise StorageError(f"corrupt record at {path}:{lineno}: {exc}") from exc
+                    yield doc
         except OSError as exc:
             raise StorageError(f"scan failed for {path}: {exc}") from exc
-        for lineno, raw in enumerate(lines):
-            try:
-                envelope = json.loads(raw.decode("utf-8"))
-                body = envelope["body"]
-                declared = envelope["len"]
-                doc_id = envelope["doc_id"]
-                validate_body(collection, body)
-            # SchemaError is a ValueError; TypeError is a line that is JSON but no object.
-            except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-                raise StorageError(f"corrupt record at {path}:{lineno + 1}: {exc}") from exc
-            actual = len(canonical_json(body).encode("utf-8"))
-            if actual != declared:
-                raise StorageError(
-                    f"integrity check failed at {path}:{lineno + 1}: length {actual} != declared {declared}"
-                )
-            yield StoredDocument(collection=collection, body=body, doc_id=doc_id)
 
     def stats(self) -> StoreStats:
         # Recount from disk so readers agree with what a fresh scan returns.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from geozones import clustering
 from geozones.clustering import (
@@ -16,6 +17,7 @@ from geozones.clustering import (
     _bic,
     _grid,
     _lloyd,
+    _sq_distances,
     dbscan,
     format_cluster_report,
     kmeans,
@@ -57,6 +59,28 @@ def dbscan_instances(draw):
 def grid_points(n, seed):
     rng = np.random.default_rng(seed)
     return [GeoPoint(lat, lon) for lat, lon in zip(rng.uniform(-60, 60, n), rng.uniform(-170, 170, n))]
+
+
+def einsum_sq_distances(x, centers):
+    """The (n, k, 2) einsum form of the squared distances, kept as the reference."""
+    diff = x[:, None, :] - centers[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+@st.composite
+def degree_rows(draw, max_rows):
+    """An (m, 2) float64 array of (lat, lon) rows, 1 <= m <= max_rows."""
+    m = draw(st.integers(1, max_rows))
+    lat = draw(arrays(np.float64, m, elements=st.floats(-90, 90)))
+    lon = draw(arrays(np.float64, m, elements=st.floats(-180, 180)))
+    return np.column_stack((lat, lon))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=degree_rows(200), centers=degree_rows(60))
+def test_sq_distances_equal_einsum_form(x, centers):
+    # Labels and radii depend on every bit, so the two forms must agree exactly.
+    assert np.array_equal(_sq_distances(x, centers), einsum_sq_distances(x, centers))
 
 
 class TestKMeans:

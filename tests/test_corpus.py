@@ -1,12 +1,15 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geozones.corpus import (
     DEFAULT_STUDY_AREA,
     BoundingBox,
+    CorpusColumns,
     CorpusRecord,
     KeywordQuery,
     dedupe,
@@ -17,14 +20,26 @@ from geozones.corpus import (
 )
 from geozones.errors import ConfigError
 from geozones.geo import GeoPoint
-from geozones.store import StoredDocument
+from geozones.pipeline import build_corpus
+from geozones.store import DocumentStore, StoredDocument
 
+from . import reference
 from .conftest import BUG_POINT
 from .oracles import kahan_mean
 
 
 def record(lat, lon, text="hola", origin="tweet", doc_id=0):
     return CorpusRecord(position=GeoPoint(lat, lon), text=text, origin=origin, source_doc_id=doc_id)
+
+
+def columns(records) -> CorpusColumns:
+    """The corpus columns holding ``records`` as rows, in order."""
+    return CorpusColumns(
+        x=np.array([(r.position.lat_deg, r.position.lon_deg) for r in records], dtype=np.float64).reshape(-1, 2),
+        text=np.array([r.text for r in records], dtype=object),
+        origin=np.array([r.origin for r in records], dtype=object),
+        doc_id=np.array([r.source_doc_id for r in records], dtype=object),
+    )
 
 
 record_strategy = st.builds(
@@ -51,7 +66,7 @@ class TestNormalize:
             },
             doc_id=7,
         )
-        rec = normalize(doc)
+        [rec] = normalize([doc]).records()
         assert rec.position == GeoPoint(6.2445419, -75.6011771)
         assert rec.text == "La distribución de par"
         assert rec.origin == "tweet"
@@ -63,7 +78,7 @@ class TestNormalize:
             body={"coordinates": None, "source": "app", "text": "x"},
             doc_id=0,
         )
-        assert normalize(doc) is None
+        assert len(normalize([doc])) == 0
 
     def test_photo_uses_name_as_text(self):
         doc = StoredDocument(
@@ -71,7 +86,7 @@ class TestNormalize:
             body={"geo": {"latitude": 6.1, "longitude": -75.3, "accuracy": 6}, "name": "mirador"},
             doc_id=3,
         )
-        rec = normalize(doc)
+        [rec] = normalize([doc]).records()
         assert rec.origin == "photo"
         assert rec.text == "mirador"
         assert rec.position == GeoPoint(6.1, -75.3)
@@ -81,19 +96,19 @@ class TestFilterKeywords:
     def test_url_fragment_matches_inside_url(self):
         records = [record(6.2, -75.5, text="FOURSQUARE: I'm at C… 4sq.com/x")]
         query = KeywordQuery(terms=("4sq.com",))
-        assert filter_keywords(records, query) == records
+        assert filter_keywords(columns(records), query).records() == records
 
     def test_accent_folding(self):
         records = [record(6.2, -75.5, text="medellin es linda")]
         query = KeywordQuery(terms=("Medellín",))
-        assert filter_keywords(records, query) == records
+        assert filter_keywords(columns(records), query).records() == records
 
     def test_case_insensitive(self):
         records = [record(6.2, -75.5, text="GRAN FIESTA")]
-        assert filter_keywords(records, KeywordQuery(terms=("fiesta",))) == records
+        assert filter_keywords(columns(records), KeywordQuery(terms=("fiesta",))).records() == records
 
     def test_empty_input(self):
-        assert filter_keywords([], KeywordQuery(terms=("x",))) == []
+        assert filter_keywords(columns([]), KeywordQuery(terms=("x",))).records() == []
 
     def test_any_vs_all_modes(self):
         records = [
@@ -102,8 +117,8 @@ class TestFilterKeywords:
         ]
         any_query = KeywordQuery(terms=("fiesta", "medellín"), mode="any")
         all_query = KeywordQuery(terms=("fiesta", "medellín"), mode="all")
-        assert filter_keywords(records, any_query) == records
-        assert filter_keywords(records, all_query) == records[:1]
+        assert filter_keywords(columns(records), any_query).records() == records
+        assert filter_keywords(columns(records), all_query).records() == records[:1]
 
     def test_empty_term_list_rejected(self):
         with pytest.raises(ConfigError):
@@ -121,10 +136,10 @@ class TestFilterKeywords:
 
     @given(records=st.lists(record_strategy, max_size=30))
     def test_subset_and_order_preserving(self, records):
-        kept = filter_keywords(records, KeywordQuery(terms=("fiesta", "4sq.com")))
-        # Subsequence check by object identity (records may be duplicated).
-        remaining = iter(map(id, records))
-        assert all(id(r) in remaining for r in kept)
+        kept = filter_keywords(columns(records), KeywordQuery(terms=("fiesta", "4sq.com"))).records()
+        # Subsequence check: each kept record is found after the previous one.
+        remaining = iter(records)
+        assert all(r in remaining for r in kept)
 
     def test_folding_examples(self):
         assert fold_text("Medellín") == "medellin"
@@ -136,19 +151,20 @@ class TestFilterBbox:
     def test_mislocated_point_purged(self):
         inside_rec = record(6.2, -75.5)
         outside_rec = record(BUG_POINT.lat_deg, BUG_POINT.lon_deg)
-        inside, purged = filter_bbox([inside_rec, outside_rec], DEFAULT_STUDY_AREA)
-        assert inside == [inside_rec]
-        assert purged == [outside_rec]
+        inside, purged = filter_bbox(columns([inside_rec, outside_rec]), DEFAULT_STUDY_AREA)
+        assert inside.records() == [inside_rec]
+        assert purged.records() == [outside_rec]
 
     def test_boundary_point_is_inside(self):
         box = BoundingBox(min_lat=5.9, max_lat=6.6, min_lon=-75.8, max_lon=-75.1)
         boundary = record(5.9, -75.8)
-        inside, purged = filter_bbox([boundary], box)
-        assert inside == [boundary]
-        assert purged == []
+        inside, purged = filter_bbox(columns([boundary]), box)
+        assert inside.records() == [boundary]
+        assert purged.records() == []
 
     def test_empty_input(self):
-        assert filter_bbox([], DEFAULT_STUDY_AREA) == ([], [])
+        inside, purged = filter_bbox(columns([]), DEFAULT_STUDY_AREA)
+        assert (inside.records(), purged.records()) == ([], [])
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ConfigError):
@@ -163,33 +179,38 @@ class TestFilterBbox:
 
     def test_infinite_bounds_cover_the_world(self):
         box = BoundingBox(-math.inf, math.inf, -math.inf, math.inf)
-        assert box.contains(GeoPoint(-90, 180))
+        inside, purged = filter_bbox(columns([record(-90, 180), record(90, -180)]), box)
+        assert (len(inside), len(purged)) == (2, 0)
 
     @given(records=st.lists(record_strategy, max_size=40))
     def test_partition_is_exact(self, records):
-        inside, purged = filter_bbox(records, DEFAULT_STUDY_AREA)
+        box = DEFAULT_STUDY_AREA
+        inside, purged = filter_bbox(columns(records), box)
         assert len(inside) + len(purged) == len(records)
-        assert sorted(map(id, inside + purged)) == sorted(map(id, records))
-        for r in inside:
-            assert DEFAULT_STUDY_AREA.contains(r.position)
-        for r in purged:
-            assert not DEFAULT_STUDY_AREA.contains(r.position)
+        assert Counter(inside.records() + purged.records()) == Counter(records)
+
+        def contains(r):
+            lat, lon = r.position.lat_deg, r.position.lon_deg
+            return box.min_lat <= lat <= box.max_lat and box.min_lon <= lon <= box.max_lon
+
+        assert all(map(contains, inside.records()))
+        assert not any(map(contains, purged.records()))
 
 
 class TestDedupe:
     def test_same_position_different_text_both_kept(self):
         one = record(6.2445419, -75.6011771, text="La distribución de par")
         two = record(6.2445419, -75.6011771, text="FOURSQUARE: I'm at C")
-        assert dedupe([one, two]) == [one, two]
+        assert dedupe(columns([one, two])).records() == [one, two]
 
     def test_exact_duplicates_collapse(self):
         one = record(6.2, -75.5, text="igual", doc_id=0)
         two = record(6.2, -75.5, text="igual", doc_id=1)
-        assert dedupe([one, two]) == [one]
+        assert dedupe(columns([one, two])).records() == [one]
 
     @given(records=st.lists(record_strategy, max_size=40))
     def test_matches_set_construction_oracle(self, records):
-        deduped = dedupe(records)
+        deduped = dedupe(columns(records)).records()
         keys = [(r.position.lat_deg, r.position.lon_deg, r.text, r.origin) for r in deduped]
         expected = set(
             (r.position.lat_deg, r.position.lon_deg, r.text, r.origin) for r in records
@@ -199,8 +220,75 @@ class TestDedupe:
 
     @given(records=st.lists(record_strategy, max_size=40))
     def test_idempotent(self, records):
-        once = dedupe(records)
-        assert dedupe(once) == once
+        once = dedupe(columns(records))
+        assert dedupe(once).records() == once.records()
+
+
+def tweet_body(point, text) -> dict:
+    block = None if point is None else {
+        "coordinates": {"latitude": point[0], "longitude": point[1]},
+        "type": "Point",
+    }
+    return {"coordinates": block, "source": "test", "text": text}
+
+
+def photo_body(point, text) -> dict:
+    return {"geo": {"latitude": point[0], "longitude": point[1], "accuracy": 16}, "name": text}
+
+
+BOX = BoundingBox(min_lat=5.9, max_lat=6.6, min_lon=-75.8, max_lon=-75.1)
+# Positions on the box's edges, just past them and inside recur often, so
+# edge points and exact duplicates are common.
+POINTS = st.tuples(
+    st.sampled_from([5.9, 6.6, 6.25, 5.8999999999999995, 6.6000000000000005, -0.0]) | st.floats(-90, 90),
+    st.sampled_from([-75.8, -75.1, -75.45, -75.80000000000001, -75.09999999999999]) | st.floats(-180, 180),
+)
+# ASCII and non-ASCII spellings of the terms: combining marks, ß, İ and the ﬁ ligature.
+TEXTS = st.sampled_from(
+    ["arriba Medellín", "medellin", "MEDELLÍN", "Medelli\u0301n", "gran FIESTA", "ﬁesta", "straße",
+     "STRASSE", "İzmir", "izmir", "4sq.com/x", "otro", ""]
+) | st.text(max_size=6)
+QUERIES = st.builds(
+    KeywordQuery,
+    terms=st.lists(st.sampled_from(["Medellín", "medellin", "Fiesta", "4sq.com", "ß", "İ", "ﬁ"]), min_size=1, max_size=2)
+    .map(tuple),
+    mode=st.sampled_from(["any", "all"]),
+)
+ON_TOPIC = KeywordQuery(terms=("Medellín", "Fiesta"))
+
+
+class TestBuildCorpusReference:
+    """build_corpus against the per-record stages frozen in tests/reference.py."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tweets=st.lists(st.builds(tweet_body, st.none() | POINTS, TEXTS), max_size=8),
+        photos=st.lists(st.builds(photo_body, POINTS, TEXTS), max_size=4),
+        query=QUERIES,
+    )
+    # An ASCII text that matches only once the term's accent is stripped.
+    @example(tweets=[tweet_body((6.25, -75.45), "medellin")], photos=[], query=ON_TOPIC)
+    # Points on all four edges of the box.
+    @example(
+        tweets=[tweet_body((5.9, -75.8), "fiesta"), tweet_body((6.6, -75.1), "fiesta")], photos=[], query=ON_TOPIC
+    )
+    # A tweet and a photo with the same position and text are not duplicates.
+    @example(
+        tweets=[tweet_body((6.25, -75.45), "fiesta")], photos=[photo_body((6.25, -75.45), "fiesta")], query=ON_TOPIC
+    )
+    def test_equals_per_record_reference(self, tmp_path_factory, tweets, photos, query):
+        directory = tmp_path_factory.mktemp("store")
+        with DocumentStore(directory) as store:
+            for body in tweets:
+                store.put("tweet", body)
+            for body in photos:
+                store.put("photo", body)
+            records, purged, x = build_corpus(store, query, BOX)
+        expected, expected_purged = reference.corpus({"tweet": tweets, "photo": photos}, query, BOX)
+        assert records == expected
+        assert purged == expected_purged
+        assert x.dtype == np.float64 and x.shape == (len(expected), 2)
+        assert x.tolist() == [[r.position.lat_deg, r.position.lon_deg] for r in expected]
 
 
 def test_mean_helper_against_kahan():

@@ -217,6 +217,23 @@ class TestParsePhotoGeo:
         assert self._geo(latitude=raw).location.lat_deg == float(raw)
 
 
+@pytest.mark.parametrize(
+    "parse, payload",
+    [
+        (parse_photo_search, "<photos page='1' pages='1' perpage='1' total='1'><photo id='1' title='a\ud800'/></photos>"),
+        (parse_photo_search, "<photos page='1' pages='1' perpage='1' total='0'/>\ud800"),
+        (parse_photo_geo, "<photo id='1' title='a\ud800'><location latitude='1' longitude='2' accuracy='6'/></photo>"),
+        (parse_photo_geo, "<photo id='1'><location latitude='1' longitude='2' accuracy='6'/></photo>\ud800"),
+    ],
+    ids=["search-title", "search-trailing", "geo-attribute", "geo-trailing"],
+)
+def test_photo_xml_lone_surrogate_is_schema_error(parse, payload):
+    # Only a str caller can hand over a lone surrogate; replayed files are decoded strictly.
+    with pytest.raises(SchemaError) as excinfo:
+        parse(payload)
+    assert excinfo.value.path == "photo"
+
+
 class TestReplaySource:
     def _drain(self, directory, kind):
         records = []

@@ -149,6 +149,123 @@ class TestScan:
                 list(store.scan("tweet"))
         assert f"{path}:2:" in str(excinfo.value)
 
+def framed(body: dict, doc_id="1", length=None) -> str:
+    """A stored line for ``body``: the canonical envelope, with ``len`` overridable."""
+    text = canonical_json(body)
+    length = len(text.encode("utf-8")) if length is None else length
+    return f'{{"body":{text},"doc_id":{doc_id},"len":{length}}}'
+
+
+BODY = canonical_json(VALID_TWEET)
+N = len(BODY.encode("utf-8"))
+# Text that JSON escapes, or that some line splitters treat as a line break.
+AWKWARD_TEXT = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)) | st.sampled_from('"\\\x00\x1f\n\r\u2028\u2029ñ'),
+    max_size=12,
+)
+COORDS = st.tuples(st.floats(-90, 90), st.floats(-180, 180))
+
+
+def tweet_at(point, text) -> dict:
+    block = None if point is None else {
+        "coordinates": {"latitude": point[0], "longitude": point[1]},
+        "type": "Point",
+    }
+    return {"coordinates": block, "source": text[::-1], "text": text}
+
+
+def photo_at(point, text) -> dict:
+    return {"geo": {"latitude": point[0], "longitude": point[1], "accuracy": 16}, "name": text}
+
+
+class TestFrame:
+    """A line is ``{"body":`` + body + ``,"doc_id":n,"len":m}`` with an m-byte body."""
+
+    def _scan_after_valid(self, tmp_path, line, valid=1):
+        """Put ``valid`` tweets, append ``line``; return (documents read, error message)."""
+        with DocumentStore(tmp_path) as store:
+            for _ in range(valid):
+                store.put("tweet", VALID_TWEET)
+        with open(tmp_path / "tweet.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        docs = []
+        with DocumentStore(tmp_path, read_only=True) as store:
+            with pytest.raises(StorageError) as excinfo:
+                for doc in store.scan("tweet"):
+                    docs.append(doc)
+        return docs, str(excinfo.value)
+
+    def test_put_writes_the_frame(self, tmp_path):
+        with DocumentStore(tmp_path) as store:
+            store.put("tweet", VALID_TWEET)
+            store.put("tweet", UNTAGGED_TWEET)
+        lines = (tmp_path / "tweet.jsonl").read_text(encoding="utf-8").splitlines()
+        assert lines == [framed(VALID_TWEET, doc_id=0), framed(UNTAGGED_TWEET, doc_id=1)]
+
+    @pytest.mark.parametrize("text", ["holas", "hol"], ids=["one-byte-longer", "one-byte-shorter"])
+    def test_body_length_differs_from_len(self, tmp_path, text):
+        _, error = self._scan_after_valid(tmp_path, framed(dict(VALID_TWEET, text=text), length=N))
+        assert f"{tmp_path / 'tweet.jsonl'}:2: body is" in error
+
+    @pytest.mark.parametrize(
+        "doc_id, length",
+        [("01", N), ("+1", N), ("-1", N), ("1", f"0{N}"), ("1", f"+{N}"), ("1", f"-{N}")],
+        ids=["id-leading-zero", "id-plus", "id-minus", "len-leading-zero", "len-plus", "len-minus"],
+    )
+    def test_padded_or_signed_number_rejected(self, tmp_path, doc_id, length):
+        _, error = self._scan_after_valid(tmp_path, framed(VALID_TWEET, doc_id=doc_id, length=length))
+        assert f"{tmp_path / 'tweet.jsonl'}:2: not a canonical envelope" in error
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            json.dumps({"body": VALID_TWEET, "doc_id": 1, "len": N}, ensure_ascii=False),
+            f'{{"body":{BODY},"len":{N},"doc_id":1}}',
+            f'{{"doc_id":1,"len":{N},"body":{BODY}}}',
+            framed(VALID_TWEET) + " ",
+            framed(VALID_TWEET) + "\r",
+        ],
+        ids=["spaces", "len-before-doc-id", "body-last", "trailing-space", "carriage-return"],
+    )
+    def test_non_canonical_envelope_rejected(self, tmp_path, line):
+        _, error = self._scan_after_valid(tmp_path, line)
+        assert f"{tmp_path / 'tweet.jsonl'}:2: not a canonical envelope" in error
+
+    def test_corrupt_line_after_valid_ones(self, tmp_path):
+        docs, error = self._scan_after_valid(tmp_path, framed(VALID_TWEET)[:-9], valid=3)
+        assert [d.doc_id for d in docs] == [0, 1, 2]
+        assert f"{tmp_path / 'tweet.jsonl'}:4:" in error
+
+    def test_deeply_nested_body_names_line(self, tmp_path):
+        text = "[" * 100_000 + "]" * 100_000
+        _, error = self._scan_after_valid(tmp_path, f'{{"body":{text},"doc_id":1,"len":{len(text)}}}')
+        assert f"{tmp_path / 'tweet.jsonl'}:2:" in error
+
+    def test_body_with_trailing_data_rejected(self, tmp_path):
+        text = BODY + " 7"
+        _, error = self._scan_after_valid(tmp_path, f'{{"body":{text},"doc_id":1,"len":{len(text)}}}')
+        assert f"{tmp_path / 'tweet.jsonl'}:2:" in error
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tweets=st.lists(st.builds(tweet_at, st.none() | COORDS, AWKWARD_TEXT), max_size=5),
+        photos=st.lists(st.builds(photo_at, COORDS, AWKWARD_TEXT), max_size=5),
+    )
+    def test_put_scan_round_trip(self, tmp_path_factory, tweets, photos):
+        directory = tmp_path_factory.mktemp("store")
+        with DocumentStore(directory) as store:
+            for body in tweets:
+                store.put("tweet", body)
+            for body in photos:
+                store.put("photo", body)
+            for collection, bodies in (("tweet", tweets), ("photo", photos)):
+                scanned = list(store.scan(collection))
+                assert [d.doc_id for d in scanned] == list(range(len(bodies)))
+                assert [d.body for d in scanned] == bodies
+                # == takes -0.0 for 0.0; the floats' reprs must match too.
+                assert [canonical_json(d.body) for d in scanned] == list(map(canonical_json, bodies))
+
+
 class TestStats:
     def test_fresh_store(self, tmp_path):
         with DocumentStore(tmp_path) as store:
