@@ -47,7 +47,6 @@ from .geo import (
     EARTH_RADIUS_KM,
     DistanceKm,
     GeoPoint,
-    degrees_to_radians,
     destination_point,
     haversine_distance,
 )

@@ -60,6 +60,11 @@ class BoundingBox:
     max_lon: float
 
     def __post_init__(self):
+        for name in ("min_lat", "max_lat", "min_lon", "max_lon"):
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except OverflowError as exc:
+                raise ConfigError(f"bounding box {name} does not fit in a float: {exc}") from exc
         # Written so that NaN bounds, which fail every comparison, are rejected.
         if not (self.min_lat <= self.max_lat and self.min_lon <= self.max_lon):
             raise ConfigError(
@@ -134,6 +139,6 @@ def filter_bbox(corpus: CorpusColumns, box: BoundingBox) -> tuple[CorpusColumns,
 def dedupe(corpus: CorpusColumns) -> CorpusColumns:
     """Drop exact duplicates by (position, text, origin), keeping the first."""
     first_row = {}
-    for row, key in enumerate(zip(map(tuple, corpus.x.tolist()), corpus.text, corpus.origin)):
+    for row, key in enumerate(zip(*corpus.x.T.tolist(), corpus.text, corpus.origin)):
         first_row.setdefault(key, row)
     return corpus.take(list(first_row.values()))

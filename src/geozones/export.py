@@ -10,7 +10,7 @@ corpus order.
 from __future__ import annotations
 
 import json
-from collections import Counter
+import os
 from pathlib import Path
 from typing import Sequence
 
@@ -24,33 +24,19 @@ def _position(point: GeoPoint) -> list[float]:
     return [point.lon_deg, point.lat_deg]
 
 
-def _point_feature(point: GeoPoint, properties: dict) -> dict:
+def _feature(geometry_type: str, coordinates: list, properties: dict) -> dict:
     return {
         "type": "Feature",
-        "geometry": {"type": "Point", "coordinates": _position(point)},
-        "properties": properties,
-    }
-
-
-def _polygon_feature(ring: Sequence[GeoPoint], properties: dict) -> dict:
-    positions = [_position(vertex) for vertex in ring]
-    return {
-        "type": "Feature",
-        "geometry": {"type": "Polygon", "coordinates": [positions]},
+        "geometry": {"type": geometry_type, "coordinates": coordinates},
         "properties": properties,
     }
 
 
 def top_terms(texts: Sequence[str], query_terms: Sequence[str]) -> list[str]:
     """Query terms present in at least one of the texts, alphabetically."""
-    present = set()
-    folded = [(term, fold_text(term)) for term in query_terms]
-    for text in texts:
-        haystack = fold_text(text)
-        for term, needle in folded:
-            if needle in haystack:
-                present.add(term)
-    return sorted(present)
+    haystacks = [fold_text(text) for text in texts]
+    needles = {term: fold_text(term) for term in query_terms}
+    return sorted(term for term, needle in needles.items() if any(needle in haystack for haystack in haystacks))
 
 
 def export_geojson(
@@ -65,43 +51,45 @@ def export_geojson(
     corpus order; it feeds the member_count/top_terms properties and the
     optional member point features.
     """
-    counts = Counter(cid for cid, _ in members)
     texts_by_cluster: dict[int, list[str]] = {}
     for cid, record in members:
         texts_by_cluster.setdefault(cid, []).append(record.text)
 
     features = []
     for summary, _ in zones:
-        features.append(
-            _point_feature(
-                summary.point_of_means,
-                {
-                    "cluster_id": summary.cluster_id,
-                    "radius_km": summary.radius_km,
-                    "member_count": counts.get(summary.cluster_id, 0),
-                    "top_terms": top_terms(texts_by_cluster.get(summary.cluster_id, ()), query_terms),
-                },
-            )
-        )
+        texts = texts_by_cluster.get(summary.cluster_id, [])
+        properties = {
+            "cluster_id": summary.cluster_id,
+            "radius_km": summary.radius_km,
+            "member_count": len(texts),
+            "top_terms": top_terms(texts, query_terms),
+        }
+        features.append(_feature("Point", _position(summary.point_of_means), properties))
     for summary, ring in zones:
-        features.append(
-            _polygon_feature(ring, {"cluster_id": summary.cluster_id, "radius_km": summary.radius_km})
-        )
+        properties = {"cluster_id": summary.cluster_id, "radius_km": summary.radius_km}
+        features.append(_feature("Polygon", [[_position(vertex) for vertex in ring]], properties))
     if include_members:
         for cid, record in members:
-            features.append(
-                _point_feature(record.position, {"cluster_id": cid, "text": record.text})
-            )
+            features.append(_feature("Point", _position(record.position), {"cluster_id": cid, "text": record.text}))
     return {"type": "FeatureCollection", "features": features}
 
 
 def write_geojson(document: dict, path) -> None:
-    """Serialize with stable key order and round-trip float precision.
+    """Serialize with stable key order and round-trip float precision, atomically.
 
-    Raises StorageError naming ``path`` when the file cannot be written.
+    The bytes go to a temporary file in the same directory, which is fsynced
+    and then renamed over ``path``: a crash leaves the old file or the new
+    one, never a torn one. Raises StorageError naming ``path`` when the file
+    cannot be written; the temporary file is removed then.
     """
-    text = json.dumps(document, ensure_ascii=False, indent=2)
+    data = (json.dumps(document, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+    temp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
     try:
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        with open(temp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(temp, path)
     except OSError as exc:
+        temp.unlink(missing_ok=True)
         raise StorageError(f"cannot write {path}: {exc.strerror or exc}") from exc

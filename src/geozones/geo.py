@@ -42,13 +42,6 @@ class GeoPoint:
             raise CoordinateError(f"longitude {self.lon_deg} outside [-180, 180]")
 
 
-def degrees_to_radians(deg: float) -> float:
-    """Convert decimal degrees to radians (deg * pi / 180)."""
-    if not math.isfinite(deg):
-        raise CoordinateError(f"non-finite angle: {deg}")
-    return deg * _DEG_TO_RAD
-
-
 def haversine_distance(a: GeoPoint, b: GeoPoint) -> DistanceKm:
     """Great-circle distance between two points, in kilometers.
 
@@ -57,10 +50,10 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> DistanceKm:
     The sqrt(h) argument is clamped into [0, 1] so antipodal or
     nearly-identical points cannot produce NaN through float overshoot.
     """
-    lat1 = degrees_to_radians(a.lat_deg)
-    lat2 = degrees_to_radians(b.lat_deg)
-    dlat = degrees_to_radians(b.lat_deg - a.lat_deg)
-    dlon = degrees_to_radians(b.lon_deg - a.lon_deg)
+    lat1 = a.lat_deg * _DEG_TO_RAD
+    lat2 = b.lat_deg * _DEG_TO_RAD
+    dlat = (b.lat_deg - a.lat_deg) * _DEG_TO_RAD
+    dlon = (b.lon_deg - a.lon_deg) * _DEG_TO_RAD
     h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(max(0.0, h))))
 
@@ -99,9 +92,9 @@ def destination_point(center: GeoPoint, bearing_deg: float, distance: DistanceKm
         raise CoordinateError(f"distance must be a finite non-negative value, got {distance}")
     if distance == 0.0:
         return center
-    lat1 = degrees_to_radians(center.lat_deg)
-    lon1 = degrees_to_radians(center.lon_deg)
-    theta = degrees_to_radians(bearing_deg % 360.0)
+    lat1 = center.lat_deg * _DEG_TO_RAD
+    lon1 = center.lon_deg * _DEG_TO_RAD
+    theta = (bearing_deg % 360.0) * _DEG_TO_RAD
     delta = distance / EARTH_RADIUS_KM
     sin_lat2 = math.sin(lat1) * math.cos(delta) + math.cos(lat1) * math.sin(delta) * math.cos(theta)
     lat2 = math.asin(max(-1.0, min(1.0, sin_lat2)))

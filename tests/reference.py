@@ -1,16 +1,19 @@
-"""Record-at-a-time corpus stages, the reference for the columnar corpus.
+"""Reference forms of the corpus stages and of the GeoJSON builder.
 
-These are the per-record forms of ``geozones.corpus``'s stages: normalize
-one stored document into a ``CorpusRecord``, then filter lists of records
-by keyword, bounding box and duplicates. They are kept here as written and
-never imported from ``src/``, so ``pipeline.build_corpus`` is checked
-against a second, independent implementation. Only the data types come
-from the package.
+The corpus half holds the per-record forms of ``geozones.corpus``'s stages:
+normalize one stored document into a ``CorpusRecord``, then filter lists of
+records by keyword, bounding box and duplicates. The export half holds the
+GeoJSON builder with one builder per geometry and members counted apart
+from their texts. Both are kept here as written and never imported from
+``src/``, so ``pipeline.build_corpus`` and ``export.export_geojson`` are
+checked against a second, independent implementation. Only the data types
+come from the package.
 """
 
 from __future__ import annotations
 
 import unicodedata
+from collections import Counter
 
 from geozones.corpus import CorpusRecord
 from geozones.geo import GeoPoint
@@ -85,3 +88,68 @@ def corpus(bodies: dict[str, list[dict]], query, box) -> tuple[list[CorpusRecord
                 records.append(record)
     inside, purged = filter_bbox(filter_keywords(records, query), box)
     return dedupe(inside), purged
+
+
+def _position(point) -> list[float]:
+    return [point.lon_deg, point.lat_deg]
+
+
+def _point_feature(point, properties: dict) -> dict:
+    return {
+        "type": "Feature",
+        "geometry": {"type": "Point", "coordinates": _position(point)},
+        "properties": properties,
+    }
+
+
+def _polygon_feature(ring, properties: dict) -> dict:
+    positions = [_position(vertex) for vertex in ring]
+    return {
+        "type": "Feature",
+        "geometry": {"type": "Polygon", "coordinates": [positions]},
+        "properties": properties,
+    }
+
+
+def top_terms(texts, query_terms) -> list[str]:
+    """Query terms present in at least one of the texts, alphabetically."""
+    present = set()
+    folded = [(term, fold_text(term)) for term in query_terms]
+    for text in texts:
+        haystack = fold_text(text)
+        for term, needle in folded:
+            if needle in haystack:
+                present.add(term)
+    return sorted(present)
+
+
+def export_geojson(zones, members, include_members=False, query_terms=()) -> dict:
+    """The zone FeatureCollection from (summary, closed ring) pairs and (cluster id, record) members."""
+    counts = Counter(cid for cid, _ in members)
+    texts_by_cluster: dict[int, list[str]] = {}
+    for cid, record in members:
+        texts_by_cluster.setdefault(cid, []).append(record.text)
+
+    features = []
+    for summary, _ in zones:
+        features.append(
+            _point_feature(
+                summary.point_of_means,
+                {
+                    "cluster_id": summary.cluster_id,
+                    "radius_km": summary.radius_km,
+                    "member_count": counts.get(summary.cluster_id, 0),
+                    "top_terms": top_terms(texts_by_cluster.get(summary.cluster_id, ()), query_terms),
+                },
+            )
+        )
+    for summary, ring in zones:
+        features.append(
+            _polygon_feature(ring, {"cluster_id": summary.cluster_id, "radius_km": summary.radius_km})
+        )
+    if include_members:
+        for cid, record in members:
+            features.append(
+                _point_feature(record.position, {"cluster_id": cid, "text": record.text})
+            )
+    return {"type": "FeatureCollection", "features": features}

@@ -177,6 +177,20 @@ class TestFilterBbox:
         with pytest.raises(ConfigError):
             BoundingBox(*bounds)
 
+    @pytest.mark.parametrize("huge_at", range(4))
+    def test_bound_beyond_float_range_rejected(self, huge_at):
+        # A lower bound far below, or an upper bound far above: a box that is valid but for float range.
+        bounds = [5.0, 7.0, -76.0, -75.0]
+        bounds[huge_at] = 10**400 if huge_at % 2 else -(10**400)
+        with pytest.raises(ConfigError, match="does not fit in a float"):
+            BoundingBox(*bounds)
+
+    def test_integer_bounds_become_floats(self):
+        box = BoundingBox(5, 7, -76, -75)
+        assert [type(b) for b in (box.min_lat, box.max_lat, box.min_lon, box.max_lon)] == [float] * 4
+        inside, purged = filter_bbox(columns([record(6, -75.5), record(7.5, -75.5)]), box)
+        assert (len(inside), len(purged)) == (1, 1)
+
     def test_infinite_bounds_cover_the_world(self):
         box = BoundingBox(-math.inf, math.inf, -math.inf, math.inf)
         inside, purged = filter_bbox(columns([record(-90, 180), record(90, -180)]), box)
@@ -237,24 +251,40 @@ def photo_body(point, text) -> dict:
 
 
 BOX = BoundingBox(min_lat=5.9, max_lat=6.6, min_lon=-75.8, max_lon=-75.1)
-# Positions on the box's edges, just past them and inside recur often, so
-# edge points and exact duplicates are common.
-POINTS = st.tuples(
-    st.sampled_from([5.9, 6.6, 6.25, 5.8999999999999995, 6.6000000000000005, -0.0]) | st.floats(-90, 90),
-    st.sampled_from([-75.8, -75.1, -75.45, -75.80000000000001, -75.09999999999999]) | st.floats(-180, 180),
+# A coordinate is drawn a third of the time on the box's edges, a third just
+# past them or inside, and a third anywhere, so edge points and exact
+# duplicates are common.
+LATS = (
+    st.sampled_from([5.9, 6.6])
+    | st.sampled_from([6.25, 5.8999999999999995, 6.6000000000000005, -0.0])
+    | st.floats(-90, 90)
 )
+LONS = (
+    st.sampled_from([-75.8, -75.1])
+    | st.sampled_from([-75.45, -75.80000000000001, -75.09999999999999])
+    | st.floats(-180, 180)
+)
+POINTS = st.tuples(LATS, LONS)
 # ASCII and non-ASCII spellings of the terms: combining marks, ß, İ and the ﬁ ligature.
-TEXTS = st.sampled_from(
-    ["arriba Medellín", "medellin", "MEDELLÍN", "Medelli\u0301n", "gran FIESTA", "ﬁesta", "straße",
-     "STRASSE", "İzmir", "izmir", "4sq.com/x", "otro", ""]
-) | st.text(max_size=6)
-QUERIES = st.builds(
-    KeywordQuery,
-    terms=st.lists(st.sampled_from(["Medellín", "medellin", "Fiesta", "4sq.com", "ß", "İ", "ﬁ"]), min_size=1, max_size=2)
-    .map(tuple),
-    mode=st.sampled_from(["any", "all"]),
+# Every text in the first list matches ON_TOPIC.
+TEXTS = (
+    st.sampled_from(["arriba Medellín", "medellin", "MEDELLÍN", "Medelli\u0301n", "gran FIESTA", "ﬁesta"])
+    | st.sampled_from(["straße", "STRASSE", "İzmir", "izmir", "4sq.com/x", "otro", ""])
+    | st.text(max_size=6)
 )
 ON_TOPIC = KeywordQuery(terms=("Medellín", "Fiesta"))
+# Two queries in three are ON_TOPIC.
+QUERIES = (
+    st.just(ON_TOPIC)
+    | st.just(ON_TOPIC)
+    | st.builds(
+        KeywordQuery,
+        terms=st.lists(
+            st.sampled_from(["Medellín", "medellin", "Fiesta", "4sq.com", "ß", "İ", "ﬁ"]), min_size=1, max_size=2
+        ).map(tuple),
+        mode=st.sampled_from(["any", "all"]),
+    )
+)
 
 
 class TestBuildCorpusReference:
@@ -264,19 +294,24 @@ class TestBuildCorpusReference:
     @given(
         tweets=st.lists(st.builds(tweet_body, st.none() | POINTS, TEXTS), max_size=8),
         photos=st.lists(st.builds(photo_body, POINTS, TEXTS), max_size=4),
+        # Each twin is stored as a tweet and as a photo with the same position and text.
+        twins=st.lists(st.tuples(POINTS, TEXTS), max_size=3),
         query=QUERIES,
     )
     # An ASCII text that matches only once the term's accent is stripped.
-    @example(tweets=[tweet_body((6.25, -75.45), "medellin")], photos=[], query=ON_TOPIC)
+    @example(tweets=[tweet_body((6.25, -75.45), "medellin")], photos=[], twins=[], query=ON_TOPIC)
     # Points on all four edges of the box.
     @example(
-        tweets=[tweet_body((5.9, -75.8), "fiesta"), tweet_body((6.6, -75.1), "fiesta")], photos=[], query=ON_TOPIC
+        tweets=[tweet_body((5.9, -75.8), "fiesta"), tweet_body((6.6, -75.1), "fiesta")],
+        photos=[],
+        twins=[],
+        query=ON_TOPIC,
     )
     # A tweet and a photo with the same position and text are not duplicates.
-    @example(
-        tweets=[tweet_body((6.25, -75.45), "fiesta")], photos=[photo_body((6.25, -75.45), "fiesta")], query=ON_TOPIC
-    )
-    def test_equals_per_record_reference(self, tmp_path_factory, tweets, photos, query):
+    @example(tweets=[], photos=[], twins=[((6.25, -75.45), "fiesta")], query=ON_TOPIC)
+    def test_equals_per_record_reference(self, tmp_path_factory, tweets, photos, twins, query):
+        tweets = tweets + [tweet_body(point, text) for point, text in twins]
+        photos = photos + [photo_body(point, text) for point, text in twins]
         directory = tmp_path_factory.mktemp("store")
         with DocumentStore(directory) as store:
             for body in tweets:

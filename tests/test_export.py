@@ -1,10 +1,19 @@
+import errno
 import json
+import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from geozones import export
 from geozones.corpus import CorpusRecord
 from geozones.coverage import CoverageSummary, coverage_circle
+from geozones.errors import StorageError
 from geozones.export import export_geojson, top_terms, write_geojson
 from geozones.geo import GeoPoint
 
+from . import reference
 from .geojson_schema import validate_geojson
 
 CLUSTER2_CENTROID = GeoPoint(6.241243759319632, -75.57945209898037)
@@ -91,6 +100,98 @@ class TestExportGeojson:
         write_geojson(doc, path)
         loaded = json.loads(path.read_text(encoding="utf-8"))
         assert loaded == doc
+
+
+EMPTY = {"type": "FeatureCollection", "features": []}
+
+
+class TestWriteGeojson:
+    def test_fsyncs_temp_file_then_replaces_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "zones.geojson"
+        path.write_text("old\n", encoding="utf-8")
+        calls = []
+        real_fsync, real_replace = export.os.fsync, export.os.replace
+
+        def fsync(fd):
+            calls.append("fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(export.os, "fsync", fsync)
+        monkeypatch.setattr(export.os, "replace", replace)
+        write_geojson(EMPTY, path)
+        assert calls == ["fsync", "replace"]
+        assert json.loads(path.read_text(encoding="utf-8")) == EMPTY
+        assert [p.name for p in tmp_path.iterdir()] == ["zones.geojson"]
+
+    def test_failed_replace_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "zones.geojson"
+        path.write_text("old\n", encoding="utf-8")
+
+        def fail(src, dst):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(export.os, "replace", fail)
+        with pytest.raises(StorageError, match=re.escape(f"cannot write {path}: Input/output error")):
+            write_geojson(EMPTY, path)
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["zones.geojson"]
+
+
+# Cluster ids 0..4; a zone is drawn for some of them, so zones without
+# members and members without a zone both occur.
+CLUSTER_IDS = st.integers(min_value=0, max_value=4)
+POINTS = st.builds(GeoPoint, st.floats(-90, 90), st.floats(-180, 180))
+# Case-variant terms, accented and not; a query draws them with repeats, or
+# takes all of them in a shuffled order.
+TERM_LIST = ["Medellín", "medellin", "MEDELLÍN", "Fiesta", "fiesta", "4sq.com", "ß", "ﬁ"]
+QUERY_TERMS = st.lists(st.sampled_from(TERM_LIST), max_size=5).map(tuple) | st.permutations(TERM_LIST).map(tuple)
+# ASCII and non-ASCII texts: a third hold several of the terms, so top_terms
+# often has more than one to order.
+TEXTS = (
+    st.sampled_from(["gran fiesta en Medellín", "MEDELLIN 4sq.com/x", "Fiesta Medellín 4sq.com ß", "ﬁesta ß"])
+    | st.sampled_from(["ﬁesta", "straße", "Medelli\u0301n", "otro", ""])
+    | st.text(max_size=8)
+)
+
+
+@st.composite
+def zone_sets(draw):
+    """(summary, ring) pairs ascending by cluster id, as the pipeline builds them."""
+    zones = []
+    for cid in sorted(draw(st.sets(CLUSTER_IDS, max_size=4))):
+        summary = CoverageSummary(
+            cluster_id=cid,
+            point_of_means=draw(POINTS),
+            distant_point=draw(POINTS),
+            radius_km=draw(st.floats(0, 20_000)),
+        )
+        ring = draw(st.lists(POINTS, min_size=1, max_size=5))
+        zones.append((summary, ring + ring[:1]))
+    return zones
+
+
+RECORDS = st.builds(CorpusRecord, POINTS, TEXTS, st.sampled_from(["tweet", "photo"]), st.integers(0, 9))
+MEMBERS = st.lists(st.tuples(CLUSTER_IDS, RECORDS), max_size=12)
+
+
+class TestExportReference:
+    """export_geojson against the builder frozen in tests/reference.py, byte for byte."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        zones=zone_sets(),
+        members=MEMBERS,
+        include_members=st.booleans(),
+        query_terms=QUERY_TERMS,
+    )
+    def test_equals_reference_bytes(self, zones, members, include_members, query_terms):
+        doc = export_geojson(zones, members, include_members=include_members, query_terms=query_terms)
+        expected = reference.export_geojson(zones, members, include_members=include_members, query_terms=query_terms)
+        assert json.dumps(doc, ensure_ascii=False, indent=2) == json.dumps(expected, ensure_ascii=False, indent=2)
 
 
 class TestTopTerms:

@@ -9,7 +9,6 @@ from geozones.errors import CoordinateError
 from geozones.geo import (
     EARTH_RADIUS_KM,
     GeoPoint,
-    degrees_to_radians,
     destination_point,
     haversine_distance,
     haversine_to_many,
@@ -39,22 +38,6 @@ class TestGeoPoint:
     def test_boundary_coordinates_accepted(self):
         GeoPoint(90.0, 180.0)
         GeoPoint(-90.0, -180.0)
-
-
-class TestDegreesToRadians:
-    def test_half_turn(self):
-        assert degrees_to_radians(180.0) == pytest.approx(math.pi, rel=0, abs=0)
-
-    def test_zero(self):
-        assert degrees_to_radians(0.0) == 0.0
-
-    def test_known_longitude(self):
-        # -75.5795 * pi / 180, frozen from a 50-digit computation.
-        assert degrees_to_radians(-75.5795) == pytest.approx(-1.3191111220110543, abs=1e-12)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(CoordinateError):
-            degrees_to_radians(float("nan"))
 
 
 class TestHaversineDistance:
