@@ -1,16 +1,16 @@
 """Normalized (latitude, longitude, text) corpus and its filters.
 
 Stored documents become columns, one row per located record; keyword,
-bounding-box and dedup filters select rows before clustering, and records
-are built only for the rows that pass the keyword filter. Text is reference
-material for filtering only, never part of any distance computation.
+bounding-box and dedup filters select rows before clustering. Iterating the
+columns yields ``CorpusRecord``s; the pipeline builds none. Text is for
+filtering only, never part of any distance computation.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -47,9 +47,9 @@ class CorpusColumns:
         """The rows a boolean mask or an index list selects, in index order."""
         return CorpusColumns(self.x[rows], self.text[rows], self.origin[rows], self.doc_id[rows])
 
-    def records(self) -> list[CorpusRecord]:
+    def __iter__(self) -> Iterator[CorpusRecord]:
         rows = zip(self.x.tolist(), self.text.tolist(), self.origin.tolist(), self.doc_id.tolist())
-        return [CorpusRecord(GeoPoint(lat, lon), text, origin, doc_id) for (lat, lon), text, origin, doc_id in rows]
+        return (CorpusRecord(GeoPoint(lat, lon), text, origin, doc_id) for (lat, lon), text, origin, doc_id in rows)
 
 
 @dataclass(frozen=True)

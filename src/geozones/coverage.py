@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .clustering import Labeling
+import numpy as np
+
+from .clustering import Labeling, points_array
 from .errors import ConfigError
 from .geo import DistanceKm, GeoPoint, destination_point, haversine_distance
 
@@ -50,12 +52,11 @@ def coverage_circle(
 
     Vertices sit at bearings i * 360 / vertex_count; the ring is closed by
     repeating the first vertex, so it has vertex_count + 1 points. Radius
-    zero collapses every vertex onto the center.
+    zero collapses every vertex onto the center; a negative or non-finite
+    radius raises CoordinateError.
     """
     if vertex_count < 3:
         raise ConfigError(f"a ring needs at least 3 vertices, got {vertex_count}")
-    if radius_km < 0:
-        raise ValueError(f"radius must be non-negative, got {radius_km}")
     vertices = [
         destination_point(centroid, i * 360.0 / vertex_count, radius_km) for i in range(vertex_count)
     ]
@@ -63,23 +64,22 @@ def coverage_circle(
     return tuple(vertices)
 
 
-def summarize(labeling: Labeling, points: Sequence[GeoPoint]) -> list[CoverageSummary]:
+def summarize(labeling: Labeling, points: Sequence[GeoPoint] | np.ndarray) -> list[CoverageSummary]:
     """One coverage summary per non-empty cluster, ordered by cluster id.
 
-    The radius is the exact maximum member distance from the point of means,
-    found by exhaustive scan; ties keep the earliest member. NOISE points
-    never participate.
+    ``points`` is a ``GeoPoint`` sequence or an (n, 2) array of (lat, lon)
+    rows. The radius is the exact maximum member distance from the point of
+    means, found by exhaustive scan; ties keep the earliest member. NOISE
+    points never participate.
     """
-    if len(points) != len(labeling.labels):
-        raise ValueError(
-            f"labeling covers {len(labeling.labels)} points, got {len(points)}"
-        )
+    x = points_array(points)
+    if len(x) != len(labeling.labels):
+        raise ValueError(f"labeling covers {len(labeling.labels)} points, got {len(x)}")
     summaries = []
     for cid in range(labeling.n_clusters):
-        member_idx = labeling.members(cid)
-        if member_idx.size == 0:
+        members = [GeoPoint(lat, lon) for lat, lon in x[labeling.members(cid)].tolist()]
+        if not members:
             continue
-        members = [points[i] for i in member_idx]
         mean = point_of_means(members)
         distances = [haversine_distance(mean, m) for m in members]
         far = distances.index(max(distances))

@@ -14,7 +14,9 @@ import os
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import CorpusRecord, fold_text
+import numpy as np
+
+from .corpus import CorpusColumns, fold_text
 from .coverage import CoverageSummary
 from .errors import StorageError
 from .geo import GeoPoint
@@ -41,23 +43,23 @@ def top_terms(texts: Sequence[str], query_terms: Sequence[str]) -> list[str]:
 
 def export_geojson(
     zones: Sequence[tuple[CoverageSummary, Sequence[GeoPoint]]],
-    members: Sequence[tuple[int, CorpusRecord]],
+    labels: np.ndarray,
+    members: CorpusColumns,
     include_members: bool = False,
     query_terms: Sequence[str] = (),
 ) -> dict:
     """Build the zone FeatureCollection from (summary, closed ring) pairs.
 
-    ``members`` pairs each clustered corpus record with its cluster id, in
-    corpus order; it feeds the member_count/top_terms properties and the
-    optional member point features.
+    ``members`` holds the clustered corpus rows in corpus order, and
+    ``labels[i]`` is the cluster id of row i; they feed the
+    member_count/top_terms properties and the optional member point features.
     """
-    texts_by_cluster: dict[int, list[str]] = {}
-    for cid, record in members:
-        texts_by_cluster.setdefault(cid, []).append(record.text)
-
+    labels = np.asarray(labels)
+    if len(labels) != len(members):
+        raise ValueError(f"labels cover {len(labels)} members, got {len(members)}")
     features = []
     for summary, _ in zones:
-        texts = texts_by_cluster.get(summary.cluster_id, [])
+        texts = members.text[labels == summary.cluster_id].tolist()
         properties = {
             "cluster_id": summary.cluster_id,
             "radius_km": summary.radius_km,
@@ -69,8 +71,8 @@ def export_geojson(
         properties = {"cluster_id": summary.cluster_id, "radius_km": summary.radius_km}
         features.append(_feature("Polygon", [[_position(vertex) for vertex in ring]], properties))
     if include_members:
-        for cid, record in members:
-            features.append(_feature("Point", _position(record.position), {"cluster_id": cid, "text": record.text}))
+        for cid, (lat, lon), text in zip(labels.tolist(), members.x.tolist(), members.text.tolist()):
+            features.append(_feature("Point", [lon, lat], {"cluster_id": cid, "text": text}))
     return {"type": "FeatureCollection", "features": features}
 
 

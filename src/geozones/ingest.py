@@ -92,7 +92,8 @@ def parse_tweet(payload: str) -> RawTweet:
     try:
         doc = json.loads(payload)
     except json.JSONDecodeError as exc:
-        offset = len(payload[: exc.pos].encode("utf-8"))
+        # A lone surrogate (from a str caller) counts as the 3 bytes surrogatepass gives it.
+        offset = len(payload[: exc.pos].encode("utf-8", "surrogatepass"))
         raise ParseError(f"malformed tweet JSON at byte {offset}: {exc.msg}", offset=offset) from exc
     except (ValueError, RecursionError) as exc:  # an integer over the digit limit, or deep nesting
         raise ParseError(f"malformed tweet JSON: {exc}") from exc

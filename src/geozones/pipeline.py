@@ -19,7 +19,7 @@ from .corpus import (
     DEFAULT_KEYWORDS,
     DEFAULT_STUDY_AREA,
     BoundingBox,
-    CorpusRecord,
+    CorpusColumns,
     KeywordQuery,
     dedupe,
     filter_bbox,
@@ -55,18 +55,17 @@ class PipelineConfig:
 class PipelineResult:
     report: str
     summaries: list[CoverageSummary]
-    records: list[CorpusRecord]  # the clustered (non-noise) corpus records
+    records: CorpusColumns  # the clustered (non-noise) rows; iterating yields CorpusRecords
     labeling: Labeling
-    purged: list[CorpusRecord]
-    noise: list[CorpusRecord]
+    purged: CorpusColumns
+    noise: CorpusColumns
 
 
 def build_corpus(store: DocumentStore, keywords: KeywordQuery, bbox: BoundingBox):
-    """Scan and filter the store into (records, purged, x), x holding the records' (lat, lon) rows."""
+    """Scan and filter the store into (kept, purged) columns; kept rows are inside the box and deduplicated."""
     located = normalize(chain(store.scan("tweet"), store.scan("photo")))
     inside, purged = filter_bbox(filter_keywords(located, keywords), bbox)
-    kept = dedupe(inside)
-    return kept.records(), purged.records(), kept.x
+    return dedupe(inside), purged
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
@@ -76,26 +75,21 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     density clustering marks everything as noise).
     """
     with DocumentStore(cfg.store_dir, read_only=True) as store:
-        records, purged, x = build_corpus(store, cfg.keywords, cfg.bbox)
-    if not records:
+        corpus, purged = build_corpus(store, cfg.keywords, cfg.bbox)
+    if not len(corpus):
         raise EmptyCorpusError("empty corpus: no records survived filtering")
 
-    keep = dbscan(x, cfg.dbscan).labels != NOISE
-    kept = [r for r, k in zip(records, keep) if k]
-    noise = [r for r, k in zip(records, keep) if not k]
-    if not kept:
+    keep = dbscan(corpus.x, cfg.dbscan).labels != NOISE
+    kept, noise = corpus.take(keep), corpus.take(~keep)
+    if not len(kept):
         raise EmptyCorpusError("empty corpus: density clustering labeled every record as noise")
 
-    labeling = xmeans(x[keep], cfg.xmeans)
-    summaries = summarize(labeling, [r.position for r in kept])
+    labeling = xmeans(kept.x, cfg.xmeans)
+    summaries = summarize(labeling, kept.x)
     if cfg.output_path is not None:
         zones = [(s, coverage_circle(s.point_of_means, s.radius_km, cfg.vertex_count)) for s in summaries]
-        members = [(int(label), record) for record, label in zip(kept, labeling.labels)]
         document = export_geojson(
-            zones,
-            members,
-            include_members=cfg.include_members,
-            query_terms=cfg.keywords.terms,
+            zones, labeling.labels, kept, include_members=cfg.include_members, query_terms=cfg.keywords.terms
         )
         write_geojson(document, Path(cfg.output_path))
     return PipelineResult(

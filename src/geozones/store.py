@@ -136,10 +136,11 @@ def photo_body(record: PhotoRecord) -> dict:
 class DocumentStore:
     """Append-only two-collection store under one directory.
 
-    A writable store creates its directory if needed and holds an exclusive
-    advisory lock for its lifetime; a second writer on the same directory
-    fails fast. A read-only store requires the directory to exist. Readers
-    never lock and see every write completed before their scan started.
+    A writable store creates its directory if needed, holds an exclusive
+    advisory lock for its lifetime (a second writer on the same directory
+    fails fast) and drops a last record torn by a crash mid-put. A read-only
+    store requires the directory to exist. Readers never lock and see every
+    write completed before their scan started.
     """
 
     def __init__(self, directory, read_only: bool = False):
@@ -157,7 +158,7 @@ class DocumentStore:
                 raise StorageError(f"cannot create store directory {self.directory}: {exc}") from exc
             self._acquire_lock()
             # Only put() reads the counts; stats() recounts from disk.
-            self._counts = {c: self._count_lines(self._path(c)) for c in COLLECTIONS}
+            self._counts = {c: self._count_lines(self._path(c), repair=True) for c in COLLECTIONS}
 
     def _path(self, collection: str) -> Path:
         return self.directory / f"{collection}.jsonl"
@@ -173,11 +174,20 @@ class DocumentStore:
         self._lock_fd = fd
 
     @staticmethod
-    def _count_lines(path: Path) -> int:
+    def _count_lines(path: Path, repair: bool = False) -> int:
+        # With ``repair`` (the writer, holding the lock), a last line without its newline,
+        # which is what a put torn by a crash leaves, is cut off and the cut fsynced first.
         if not path.exists():
             return 0
-        with open(path, "rb") as fh:
-            return sum(1 for _ in fh)
+        with open(path, "r+b" if repair else "rb") as fh:
+            count, line = 0, b"\n"
+            for count, line in enumerate(fh, 1):
+                pass
+            if repair and not line.endswith(b"\n"):
+                fh.truncate(fh.tell() - len(line))
+                os.fsync(fh.fileno())
+                count -= 1
+            return count
 
     def close(self):
         if self._lock_fd is not None:

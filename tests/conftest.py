@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from geozones.corpus import CorpusColumns
 from geozones.geo import GeoPoint
 from geozones.store import DocumentStore
 
@@ -28,6 +29,16 @@ def photo_search_payload() -> str:
 @pytest.fixture
 def photo_geo_payload() -> str:
     return (FIXTURES / "photo_geo_entity.xml").read_text(encoding="utf-8")
+
+
+def columns(records) -> CorpusColumns:
+    """The corpus columns holding ``records`` as rows, in order."""
+    return CorpusColumns(
+        x=np.array([(r.position.lat_deg, r.position.lon_deg) for r in records], dtype=np.float64).reshape(-1, 2),
+        text=np.array([r.text for r in records], dtype=object),
+        origin=np.array([r.origin for r in records], dtype=object),
+        doc_id=np.array([r.source_doc_id for r in records], dtype=object),
+    )
 
 
 def make_blobs(centers, sigma: float, n_per: int, seed: int) -> list[GeoPoint]:

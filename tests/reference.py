@@ -1,21 +1,25 @@
-"""Reference forms of the corpus stages and of the GeoJSON builder.
+"""Reference forms of the corpus stages, of ``summarize`` and of the GeoJSON builder.
 
-The corpus half holds the per-record forms of ``geozones.corpus``'s stages:
+The corpus part holds the per-record forms of ``geozones.corpus``'s stages:
 normalize one stored document into a ``CorpusRecord``, then filter lists of
-records by keyword, bounding box and duplicates. The export half holds the
-GeoJSON builder with one builder per geometry and members counted apart
-from their texts. Both are kept here as written and never imported from
-``src/``, so ``pipeline.build_corpus`` and ``export.export_geojson`` are
-checked against a second, independent implementation. Only the data types
-come from the package.
+records by keyword, bounding box and duplicates. The coverage part holds
+``summarize`` over a ``GeoPoint`` list, with the scalar haversine. The
+export part holds the GeoJSON builder with one builder per geometry and
+members counted apart from their texts, over (cluster id, record) pairs.
+All are kept here as written and never imported from ``src/``, so
+``pipeline.build_corpus``, ``coverage.summarize`` and
+``export.export_geojson`` are checked against a second, independent
+implementation. Only the data types come from the package.
 """
 
 from __future__ import annotations
 
+import math
 import unicodedata
 from collections import Counter
 
 from geozones.corpus import CorpusRecord
+from geozones.coverage import CoverageSummary
 from geozones.geo import GeoPoint
 from geozones.store import StoredDocument
 
@@ -88,6 +92,38 @@ def corpus(bodies: dict[str, list[dict]], query, box) -> tuple[list[CorpusRecord
                 records.append(record)
     inside, purged = filter_bbox(filter_keywords(records, query), box)
     return dedupe(inside), purged
+
+
+def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
+    """Great-circle distance in km on a sphere of radius 6371 km, clamped against overshoot."""
+    to_rad = math.pi / 180.0
+    lat1, lat2 = a.lat_deg * to_rad, b.lat_deg * to_rad
+    dlat = (b.lat_deg - a.lat_deg) * to_rad
+    dlon = (b.lon_deg - a.lon_deg) * to_rad
+    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
+    return 2.0 * 6371.0 * math.asin(min(1.0, math.sqrt(max(0.0, h))))
+
+
+def point_of_means(members) -> GeoPoint:
+    """Coordinate mean of a non-empty point list, each sum correctly rounded."""
+    n = len(members)
+    return GeoPoint(math.fsum(p.lat_deg for p in members) / n, math.fsum(p.lon_deg for p in members) / n)
+
+
+def summarize(labeling, points) -> list[CoverageSummary]:
+    """One summary per non-empty cluster by id: the mean, the farthest member (first on ties), its distance."""
+    summaries = []
+    for cid in range(labeling.n_clusters):
+        members = [point for point, label in zip(points, labeling.labels) if label == cid]
+        if not members:
+            continue
+        mean = point_of_means(members)
+        distances = [haversine_distance(mean, m) for m in members]
+        far = distances.index(max(distances))
+        summaries.append(
+            CoverageSummary(cluster_id=cid, point_of_means=mean, distant_point=members[far], radius_km=distances[far])
+        )
+    return summaries
 
 
 def _position(point) -> list[float]:

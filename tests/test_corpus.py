@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from geozones.corpus import (
     DEFAULT_STUDY_AREA,
     BoundingBox,
-    CorpusColumns,
     CorpusRecord,
     KeywordQuery,
     dedupe,
@@ -24,22 +23,12 @@ from geozones.pipeline import build_corpus
 from geozones.store import DocumentStore, StoredDocument
 
 from . import reference
-from .conftest import BUG_POINT
+from .conftest import BUG_POINT, columns
 from .oracles import kahan_mean
 
 
 def record(lat, lon, text="hola", origin="tweet", doc_id=0):
     return CorpusRecord(position=GeoPoint(lat, lon), text=text, origin=origin, source_doc_id=doc_id)
-
-
-def columns(records) -> CorpusColumns:
-    """The corpus columns holding ``records`` as rows, in order."""
-    return CorpusColumns(
-        x=np.array([(r.position.lat_deg, r.position.lon_deg) for r in records], dtype=np.float64).reshape(-1, 2),
-        text=np.array([r.text for r in records], dtype=object),
-        origin=np.array([r.origin for r in records], dtype=object),
-        doc_id=np.array([r.source_doc_id for r in records], dtype=object),
-    )
 
 
 record_strategy = st.builds(
@@ -66,7 +55,7 @@ class TestNormalize:
             },
             doc_id=7,
         )
-        [rec] = normalize([doc]).records()
+        [rec] = list(normalize([doc]))
         assert rec.position == GeoPoint(6.2445419, -75.6011771)
         assert rec.text == "La distribución de par"
         assert rec.origin == "tweet"
@@ -86,7 +75,7 @@ class TestNormalize:
             body={"geo": {"latitude": 6.1, "longitude": -75.3, "accuracy": 6}, "name": "mirador"},
             doc_id=3,
         )
-        [rec] = normalize([doc]).records()
+        [rec] = list(normalize([doc]))
         assert rec.origin == "photo"
         assert rec.text == "mirador"
         assert rec.position == GeoPoint(6.1, -75.3)
@@ -96,19 +85,19 @@ class TestFilterKeywords:
     def test_url_fragment_matches_inside_url(self):
         records = [record(6.2, -75.5, text="FOURSQUARE: I'm at C… 4sq.com/x")]
         query = KeywordQuery(terms=("4sq.com",))
-        assert filter_keywords(columns(records), query).records() == records
+        assert list(filter_keywords(columns(records), query)) == records
 
     def test_accent_folding(self):
         records = [record(6.2, -75.5, text="medellin es linda")]
         query = KeywordQuery(terms=("Medellín",))
-        assert filter_keywords(columns(records), query).records() == records
+        assert list(filter_keywords(columns(records), query)) == records
 
     def test_case_insensitive(self):
         records = [record(6.2, -75.5, text="GRAN FIESTA")]
-        assert filter_keywords(columns(records), KeywordQuery(terms=("fiesta",))).records() == records
+        assert list(filter_keywords(columns(records), KeywordQuery(terms=("fiesta",)))) == records
 
     def test_empty_input(self):
-        assert filter_keywords(columns([]), KeywordQuery(terms=("x",))).records() == []
+        assert list(filter_keywords(columns([]), KeywordQuery(terms=("x",)))) == []
 
     def test_any_vs_all_modes(self):
         records = [
@@ -117,8 +106,8 @@ class TestFilterKeywords:
         ]
         any_query = KeywordQuery(terms=("fiesta", "medellín"), mode="any")
         all_query = KeywordQuery(terms=("fiesta", "medellín"), mode="all")
-        assert filter_keywords(columns(records), any_query).records() == records
-        assert filter_keywords(columns(records), all_query).records() == records[:1]
+        assert list(filter_keywords(columns(records), any_query)) == records
+        assert list(filter_keywords(columns(records), all_query)) == records[:1]
 
     def test_empty_term_list_rejected(self):
         with pytest.raises(ConfigError):
@@ -136,7 +125,7 @@ class TestFilterKeywords:
 
     @given(records=st.lists(record_strategy, max_size=30))
     def test_subset_and_order_preserving(self, records):
-        kept = filter_keywords(columns(records), KeywordQuery(terms=("fiesta", "4sq.com"))).records()
+        kept = list(filter_keywords(columns(records), KeywordQuery(terms=("fiesta", "4sq.com"))))
         # Subsequence check: each kept record is found after the previous one.
         remaining = iter(records)
         assert all(r in remaining for r in kept)
@@ -152,19 +141,19 @@ class TestFilterBbox:
         inside_rec = record(6.2, -75.5)
         outside_rec = record(BUG_POINT.lat_deg, BUG_POINT.lon_deg)
         inside, purged = filter_bbox(columns([inside_rec, outside_rec]), DEFAULT_STUDY_AREA)
-        assert inside.records() == [inside_rec]
-        assert purged.records() == [outside_rec]
+        assert list(inside) == [inside_rec]
+        assert list(purged) == [outside_rec]
 
     def test_boundary_point_is_inside(self):
         box = BoundingBox(min_lat=5.9, max_lat=6.6, min_lon=-75.8, max_lon=-75.1)
         boundary = record(5.9, -75.8)
         inside, purged = filter_bbox(columns([boundary]), box)
-        assert inside.records() == [boundary]
-        assert purged.records() == []
+        assert list(inside) == [boundary]
+        assert list(purged) == []
 
     def test_empty_input(self):
         inside, purged = filter_bbox(columns([]), DEFAULT_STUDY_AREA)
-        assert (inside.records(), purged.records()) == ([], [])
+        assert (list(inside), list(purged)) == ([], [])
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ConfigError):
@@ -201,30 +190,30 @@ class TestFilterBbox:
         box = DEFAULT_STUDY_AREA
         inside, purged = filter_bbox(columns(records), box)
         assert len(inside) + len(purged) == len(records)
-        assert Counter(inside.records() + purged.records()) == Counter(records)
+        assert Counter(list(inside) + list(purged)) == Counter(records)
 
         def contains(r):
             lat, lon = r.position.lat_deg, r.position.lon_deg
             return box.min_lat <= lat <= box.max_lat and box.min_lon <= lon <= box.max_lon
 
-        assert all(map(contains, inside.records()))
-        assert not any(map(contains, purged.records()))
+        assert all(map(contains, inside))
+        assert not any(map(contains, purged))
 
 
 class TestDedupe:
     def test_same_position_different_text_both_kept(self):
         one = record(6.2445419, -75.6011771, text="La distribución de par")
         two = record(6.2445419, -75.6011771, text="FOURSQUARE: I'm at C")
-        assert dedupe(columns([one, two])).records() == [one, two]
+        assert list(dedupe(columns([one, two]))) == [one, two]
 
     def test_exact_duplicates_collapse(self):
         one = record(6.2, -75.5, text="igual", doc_id=0)
         two = record(6.2, -75.5, text="igual", doc_id=1)
-        assert dedupe(columns([one, two])).records() == [one]
+        assert list(dedupe(columns([one, two]))) == [one]
 
     @given(records=st.lists(record_strategy, max_size=40))
     def test_matches_set_construction_oracle(self, records):
-        deduped = dedupe(columns(records)).records()
+        deduped = list(dedupe(columns(records)))
         keys = [(r.position.lat_deg, r.position.lon_deg, r.text, r.origin) for r in deduped]
         expected = set(
             (r.position.lat_deg, r.position.lon_deg, r.text, r.origin) for r in records
@@ -235,7 +224,7 @@ class TestDedupe:
     @given(records=st.lists(record_strategy, max_size=40))
     def test_idempotent(self, records):
         once = dedupe(columns(records))
-        assert dedupe(once).records() == once.records()
+        assert list(dedupe(once)) == list(once)
 
 
 def tweet_body(point, text) -> dict:
@@ -318,12 +307,12 @@ class TestBuildCorpusReference:
                 store.put("tweet", body)
             for body in photos:
                 store.put("photo", body)
-            records, purged, x = build_corpus(store, query, BOX)
+            kept, purged = build_corpus(store, query, BOX)
         expected, expected_purged = reference.corpus({"tweet": tweets, "photo": photos}, query, BOX)
-        assert records == expected
-        assert purged == expected_purged
-        assert x.dtype == np.float64 and x.shape == (len(expected), 2)
-        assert x.tolist() == [[r.position.lat_deg, r.position.lon_deg] for r in expected]
+        assert list(kept) == expected
+        assert list(purged) == expected_purged
+        assert kept.x.dtype == np.float64 and kept.x.shape == (len(expected), 2)
+        assert kept.x.tolist() == [[r.position.lat_deg, r.position.lon_deg] for r in expected]
 
 
 def test_mean_helper_against_kahan():

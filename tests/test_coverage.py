@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from geozones.clustering import DbscanConfig, KMeansConfig, Labeling, dbscan, kmeans
+from geozones.clustering import NOISE, DbscanConfig, KMeansConfig, Labeling, dbscan, kmeans, points_array
 from geozones.coverage import coverage_circle, point_of_means, summarize
-from geozones.errors import ConfigError
+from geozones.errors import ConfigError, CoordinateError
 from geozones.geo import GeoPoint, haversine_distance
 
+from . import reference
 from .conftest import make_blobs
 from .oracles import kahan_mean, slc_distance_km
 
@@ -154,6 +157,11 @@ class TestCoverageCircle:
         with pytest.raises(ConfigError):
             coverage_circle(GeoPoint(0, 0), 1.0, vertex_count=2)
 
+    @pytest.mark.parametrize("radius", [-1.0, float("nan")])
+    def test_bad_radius_rejected(self, radius):
+        with pytest.raises(CoordinateError):
+            coverage_circle(GeoPoint(0, 0), radius)
+
 
 class TestSummarize:
     def test_two_cluster_labeling(self):
@@ -215,3 +223,62 @@ class TestSummarize:
         labeling = kmeans(points, KMeansConfig(k=1))
         with pytest.raises(ValueError):
             summarize(labeling, points[:1])
+
+
+def labeled(groups, noise=()):
+    """(labeling, points) with group i as cluster i, followed by ``noise`` labeled NOISE."""
+    rows = [(cid, p) for cid, group in enumerate(groups) for p in group] + [(NOISE, p) for p in noise]
+    labels = np.array([cid for cid, _ in rows], dtype=np.intp)
+    labeling = Labeling(labels=labels, centers=np.zeros((len(groups), 2)), wcss=0.0)
+    return labeling, [p for _, p in rows]
+
+
+ANY_POINT = st.builds(GeoPoint, st.floats(-90, 90), st.floats(-180, 180))
+# Multiples of 1/64 degree: sums and means of these are exact, so the two
+# points of a pair mirrored in longitude about the mean lie at bit-equal
+# distances from it.
+DYADIC_LAT = st.integers(-80 * 64, 80 * 64).map(lambda i: i / 64)
+DYADIC_LON = st.integers(-170 * 64, 170 * 64).map(lambda i: i / 64)
+OFFSETS = st.lists(st.integers(1, 10 * 64).map(lambda i: i / 64), min_size=1, max_size=3)
+
+
+@st.composite
+def cluster_groups(draw):
+    """One cluster's members: none, arbitrary points with duplicates, or mirrored pairs."""
+    kind = draw(st.sampled_from(["empty", "arbitrary", "mirrored"]))
+    if kind == "empty":
+        return []
+    if kind == "arbitrary":
+        points = draw(st.lists(ANY_POINT, min_size=1, max_size=6))
+        return points + draw(st.lists(st.sampled_from(points), max_size=3))
+    lat, lon = draw(DYADIC_LAT), draw(DYADIC_LON)
+    return [GeoPoint(lat, lon + sign * d) for d in draw(OFFSETS) for sign in (-1, 1)]
+
+
+@st.composite
+def labelings(draw):
+    """(labeling, points): up to four clusters plus some noise, rows shuffled."""
+    groups = draw(st.lists(cluster_groups(), min_size=1, max_size=4))
+    labeling, points = labeled(groups, noise=draw(st.lists(ANY_POINT, max_size=2)))
+    order = draw(st.permutations(range(len(points))))
+    shuffled = Labeling(labels=labeling.labels[order], centers=labeling.centers, wcss=0.0)
+    return shuffled, [points[i] for i in order]
+
+
+class TestSummarizeReference:
+    """summarize against the GeoPoint form frozen in tests/reference.py, field for field."""
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["points", "array"])
+    @settings(max_examples=150, deadline=None)
+    @given(case=labelings())
+    # Plain left-to-right summation rounds this mean differently.
+    @example(case=labeled([[GeoPoint(0.1, 0.0), GeoPoint(0.2, 0.0), GeoPoint(0.3, 0.0)]]))
+    # The vectorized haversine rounds this radius differently.
+    @example(case=labeled([[GeoPoint(2.1042, 161.266), GeoPoint(-63.3396, 160.6165)]]))
+    # An exact tie between a mirrored pair, which keeps the first; cluster 1 has no members.
+    @example(case=labeled([[GeoPoint(6.25, -75.5), GeoPoint(6.25, -75.25)], [], [GeoPoint(1.0, 2.0)]]))
+    def test_equals_reference(self, as_array, case):
+        labeling, points = case
+        got = summarize(labeling, points_array(points) if as_array else points)
+        expected = reference.summarize(labeling, points)
+        assert list(map(repr, got)) == list(map(repr, expected))

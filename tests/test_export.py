@@ -2,6 +2,7 @@ import errno
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from geozones.export import export_geojson, top_terms, write_geojson
 from geozones.geo import GeoPoint
 
 from . import reference
+from .conftest import columns
 from .geojson_schema import validate_geojson
 
 CLUSTER2_CENTROID = GeoPoint(6.241243759319632, -75.57945209898037)
@@ -32,18 +34,21 @@ def make_outputs():
     s0 = summary_for(0, GeoPoint(6.15, -75.35), GeoPoint(6.16, -75.35), 1.2)
     s1 = summary_for(1, CLUSTER2_CENTROID, GeoPoint(6.273949, -75.57941), 3.622)
     zones = [(s, coverage_circle(s.point_of_means, s.radius_km, vertex_count=16)) for s in (s0, s1)]
-    members = [
-        (0, CorpusRecord(GeoPoint(6.16, -75.35), "gran fiesta", "tweet", 0)),
-        (1, CorpusRecord(GeoPoint(6.24, -75.58), "I'm at 4sq.com/x", "tweet", 1)),
-        (0, CorpusRecord(GeoPoint(6.15, -75.34), "medellin", "photo", 2)),
-    ]
-    return zones, members
+    labels = np.array([0, 1, 0])
+    members = columns(
+        [
+            CorpusRecord(GeoPoint(6.16, -75.35), "gran fiesta", "tweet", 0),
+            CorpusRecord(GeoPoint(6.24, -75.58), "I'm at 4sq.com/x", "tweet", 1),
+            CorpusRecord(GeoPoint(6.15, -75.34), "medellin", "photo", 2),
+        ]
+    )
+    return zones, labels, members
 
 
 class TestExportGeojson:
     def test_feature_order_and_counts(self):
-        zones, members = make_outputs()
-        doc = export_geojson(zones, members, include_members=True)
+        zones, labels, members = make_outputs()
+        doc = export_geojson(zones, labels, members, include_members=True)
         kinds = [f["geometry"]["type"] for f in doc["features"]]
         assert kinds == ["Point", "Point", "Polygon", "Polygon", "Point", "Point", "Point"]
         assert [f["properties"]["cluster_id"] for f in doc["features"][:2]] == [0, 1]
@@ -52,21 +57,21 @@ class TestExportGeojson:
         assert [f["properties"]["cluster_id"] for f in doc["features"][4:]] == [0, 1, 0]
 
     def test_members_excluded_by_default(self):
-        zones, members = make_outputs()
-        doc = export_geojson(zones, members)
+        zones, labels, members = make_outputs()
+        doc = export_geojson(zones, labels, members)
         assert len(doc["features"]) == 4
 
     def test_centroid_coordinates_lon_lat_full_precision(self):
-        zones, members = make_outputs()
-        doc = export_geojson(zones, members)
+        zones, labels, members = make_outputs()
+        doc = export_geojson(zones, labels, members)
         assert doc["features"][1]["geometry"]["coordinates"] == [
             -75.57945209898037,
             6.241243759319632,
         ]
 
     def test_counts_and_terms_properties(self):
-        zones, members = make_outputs()
-        doc = export_geojson(zones, members, query_terms=("Medellín", "Fiesta", "4sq.com"))
+        zones, labels, members = make_outputs()
+        doc = export_geojson(zones, labels, members, query_terms=("Medellín", "Fiesta", "4sq.com"))
         props0 = doc["features"][0]["properties"]
         props1 = doc["features"][1]["properties"]
         assert props0["member_count"] == 2
@@ -76,17 +81,22 @@ class TestExportGeojson:
         assert props1["radius_km"] == 3.622
 
     def test_no_clusters(self):
-        doc = export_geojson([], [])
+        doc = export_geojson([], [], columns([]))
         assert doc == {"type": "FeatureCollection", "features": []}
 
+    def test_mismatched_lengths_rejected(self):
+        zones, labels, members = make_outputs()
+        with pytest.raises(ValueError, match="labels cover 2 members, got 3"):
+            export_geojson(zones, labels[:2], members)
+
     def test_validates_against_independent_schema(self):
-        zones, members = make_outputs()
-        doc = export_geojson(zones, members, include_members=True)
+        zones, labels, members = make_outputs()
+        doc = export_geojson(zones, labels, members, include_members=True)
         validate_geojson(doc)
 
     def test_rings_closed(self):
-        zones, members = make_outputs()
-        doc = export_geojson(zones, members)
+        zones, labels, members = make_outputs()
+        doc = export_geojson(zones, labels, members)
         for feature in doc["features"]:
             if feature["geometry"]["type"] == "Polygon":
                 ring = feature["geometry"]["coordinates"][0]
@@ -94,8 +104,8 @@ class TestExportGeojson:
                 assert len(ring) == 17
 
     def test_round_trip_precision_through_file(self, tmp_path):
-        zones, members = make_outputs()
-        doc = export_geojson(zones, members)
+        zones, labels, members = make_outputs()
+        doc = export_geojson(zones, labels, members)
         path = tmp_path / "zones.geojson"
         write_geojson(doc, path)
         loaded = json.loads(path.read_text(encoding="utf-8"))
@@ -179,7 +189,7 @@ MEMBERS = st.lists(st.tuples(CLUSTER_IDS, RECORDS), max_size=12)
 
 
 class TestExportReference:
-    """export_geojson against the builder frozen in tests/reference.py, byte for byte."""
+    """export_geojson on labels plus columns against the reference on (cluster id, record) pairs, byte for byte."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -189,7 +199,9 @@ class TestExportReference:
         query_terms=QUERY_TERMS,
     )
     def test_equals_reference_bytes(self, zones, members, include_members, query_terms):
-        doc = export_geojson(zones, members, include_members=include_members, query_terms=query_terms)
+        labels = np.array([cid for cid, _ in members], dtype=np.intp)
+        rows = columns([record for _, record in members])
+        doc = export_geojson(zones, labels, rows, include_members=include_members, query_terms=query_terms)
         expected = reference.export_geojson(zones, members, include_members=include_members, query_terms=query_terms)
         assert json.dumps(doc, ensure_ascii=False, indent=2) == json.dumps(expected, ensure_ascii=False, indent=2)
 

@@ -1,11 +1,11 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geozones import ingest
-from geozones.errors import ConfigError, ParseError, SchemaError, StorageError
+from geozones.errors import ConfigError, CoordinateError, ParseError, SchemaError, StorageError
 from geozones.geo import GeoPoint
 from geozones.ingest import (
     ParseError as IngestParseError,
@@ -232,6 +232,53 @@ def test_photo_xml_lone_surrogate_is_schema_error(parse, payload):
     with pytest.raises(SchemaError) as excinfo:
         parse(payload)
     assert excinfo.value.path == "photo"
+
+
+FIXTURE_TEXTS = [
+    (FIXTURES / name).read_text(encoding="utf-8")
+    for name in ("tweet_geotagged.json", "photo_search_page.xml", "photo_geo_entity.xml")
+]
+HOSTILE_TOKENS = [
+    "1e400",
+    "\ud800",
+    "9" * 5000,
+    '<!DOCTYPE photo [<!ENTITY e "&#x26;e;">]>',
+    "&e;",
+    "\x00",
+    "\u0663",  # ARABIC-INDIC DIGIT THREE
+    "1_0",
+]
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """One of the fixtures with 1-4 insertions, deletions or hostile tokens at random places."""
+    text = draw(st.sampled_from(FIXTURE_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "token"]))
+        if edit == "delete":
+            text = text[:at] + text[at + draw(st.integers(1, 12)) :]
+        else:
+            piece = draw(st.text(min_size=1, max_size=4) if edit == "insert" else st.sampled_from(HOSTILE_TOKENS))
+            text = text[:at] + piece + text[at:]
+    return text
+
+
+@pytest.mark.parametrize(
+    "parse, returns",
+    [(parse_tweet, RawTweet), (parse_photo_search, ingest.PhotoSearchPage), (parse_photo_geo, PhotoRecord)],
+    ids=["tweet", "photo-search", "photo-geo"],
+)
+@settings(max_examples=150, deadline=None)
+@given(payload=mutated_fixtures())
+# A lone surrogate before the point where the JSON breaks.
+@example(payload='{"\ud800": }')
+def test_parser_returns_record_or_named_error(parse, returns, payload):
+    try:
+        assert isinstance(parse(payload), returns)
+    except (ParseError, SchemaError, CoordinateError):
+        pass
 
 
 class TestReplaySource:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from geozones import pipeline
+from geozones import corpus, pipeline
 from geozones.cli import (
     EXIT_EMPTY_CORPUS,
     EXIT_ERROR,
@@ -231,6 +231,24 @@ class TestCliMain:
         printed = capsys.readouterr().out
         assert "Cluster centers : 10 centers" in printed
         assert out.exists()
+
+    def test_pipeline_builds_no_record(self, tmp_path, monkeypatch):
+        store = self._ingest_blobs(tmp_path)
+        out = tmp_path / "zones.geojson"
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a CorpusRecord was built")
+
+        monkeypatch.setattr(corpus, "CorpusRecord", fail)
+        args = ["pipeline", "--store", str(store), "--output", str(out), "--include-members", "--min-pts", "3"]
+        assert main(args) == EXIT_OK
+        assert json.loads(out.read_text(encoding="utf-8"))["features"]
+        # Iterating the corpus columns would have called the patched class.
+        cfg = PipelineConfig(store_dir=str(store))
+        with DocumentStore(store, read_only=True) as opened:
+            kept, _ = pipeline.build_corpus(opened, cfg.keywords, cfg.bbox)
+        with pytest.raises(AssertionError, match="a CorpusRecord was built"):
+            next(iter(kept))
 
     def _pipeline_lines(self, tmp_path, capsys):
         store = self._ingest_blobs(tmp_path)

@@ -149,6 +149,56 @@ class TestScan:
                 list(store.scan("tweet"))
         assert f"{path}:2:" in str(excinfo.value)
 
+class TestTornTail:
+    """A put torn by a crash leaves a last line without its newline; the next writer cuts it off."""
+
+    @pytest.mark.parametrize("intact", [0, 2])
+    def test_writer_drops_torn_last_record_at_every_cut(self, tmp_path, intact):
+        bodies = [dict(VALID_TWEET, text=f"t{i}") for i in range(intact + 1)]
+        with DocumentStore(tmp_path / "full") as store:
+            for body in bodies:
+                store.put("tweet", body)
+        data = (tmp_path / "full" / "tweet.jsonl").read_bytes()
+        last_start = data.rindex(b"\n", 0, len(data) - 1) + 1 if intact else 0
+        # From the whole last line gone to only its newline gone.
+        for cut in range(last_start, len(data)):
+            directory = tmp_path / f"cut{cut}"
+            directory.mkdir()
+            (directory / "tweet.jsonl").write_bytes(data[:cut])
+            new = dict(VALID_TWEET, text="after the crash")
+            with DocumentStore(directory) as store:
+                assert store.put("tweet", new) == intact
+            with DocumentStore(directory, read_only=True) as store:
+                docs = list(store.scan("tweet"))
+            assert [d.body for d in docs] == bodies[:intact] + [new]
+            assert [d.doc_id for d in docs] == list(range(intact + 1))
+
+    def test_reader_still_rejects_torn_tail(self, tmp_path):
+        with DocumentStore(tmp_path) as store:
+            for i in range(3):
+                store.put("tweet", dict(VALID_TWEET, text=f"t{i}"))
+        path = tmp_path / "tweet.jsonl"
+        path.write_bytes(path.read_bytes()[:-10])
+        with DocumentStore(tmp_path, read_only=True) as store:
+            with pytest.raises(StorageError) as excinfo:
+                list(store.scan("tweet"))
+        assert f"{path}:3:" in str(excinfo.value)
+        assert len(path.read_bytes().splitlines()) == 3
+
+    def test_corrupt_middle_line_still_raises(self, tmp_path):
+        with DocumentStore(tmp_path) as store:
+            for i in range(3):
+                store.put("tweet", dict(VALID_TWEET, text=f"t{i}"))
+        path = tmp_path / "tweet.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0] + lines[1].replace(b"t1", b"t1 tampered") + lines[2])
+        with DocumentStore(tmp_path) as store:
+            assert store.put("tweet", VALID_TWEET) == 3
+            with pytest.raises(StorageError) as excinfo:
+                list(store.scan("tweet"))
+        assert f"{path}:2:" in str(excinfo.value)
+
+
 def framed(body: dict, doc_id="1", length=None) -> str:
     """A stored line for ``body``: the canonical envelope, with ``len`` overridable."""
     text = canonical_json(body)
