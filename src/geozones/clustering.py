@@ -460,14 +460,16 @@ def dbscan(points: Sequence[GeoPoint] | np.ndarray, cfg: DbscanConfig) -> Labeli
     the result is deterministic.
 
     This is the exact grid method of Gan & Tao (SIGMOD 2015) on the sphere.
-    Any two points of one cell compute as within eps (see ``_grid``), so a
-    cell of at least ``min_pts`` points is all core with no distance
-    computed, and the core points of a cell are connected. The points of
-    sparser cells count their neighbours in the cells in reach. Cells with
-    core points are joined by a union-find, nearest pairs of cells first,
-    each test stopping at the first core pair within eps. Every within-eps
-    test evaluates ``haversine_to_many`` from the same origin as a full
-    neighbour scan would, so the labels equal the exhaustive result.
+    Any two points of one cell compute as within eps (see ``_grid``), so the
+    core points of a cell are connected and, with no distance computed, a
+    cell of at least ``min_pts`` points is all core and a sparser cell with
+    no other cell in reach is all noise. The points of the other sparse
+    cells count their neighbours in the cells in reach; the pairs a point
+    keeps while its count is below ``min_pts`` give a border point its label.
+    Cells with core points are joined by a union-find, nearest pairs of
+    cells first, each test stopping at the first core pair within eps. Every
+    within-eps test evaluates ``haversine_to_many`` from the same origin as
+    a full neighbour scan would, so the labels equal the exhaustive result.
     """
     x = points_array(points)
     n = x.shape[0]
@@ -478,18 +480,21 @@ def dbscan(points: Sequence[GeoPoint] | np.ndarray, cfg: DbscanConfig) -> Labeli
     n_cells = bounds.size - 1
     sizes = np.diff(bounds)
     cells = np.split(order, bounds[1:-1])
-
-    def gather(pool, c):
-        return np.concatenate([pool[b] for b in near[near_start[c] : near_start[c + 1]]])
-
     core = np.empty(n, dtype=bool)
     core[order] = np.repeat(sizes >= min_pts, sizes)
-    sparse = np.flatnonzero(sizes < min_pts)
-    for c in sparse:
-        counts = np.zeros(sizes[c], dtype=np.int64)
-        for i, _, within in _eps_blocks(x, cells[c], gather(cells, c), eps):
-            counts[i : i + len(within)] += within.sum(axis=1)
-        core[cells[c]] = counts >= min_pts
+    # A point still below min_pts after a tile keeps that tile's (point,
+    # neighbour) pairs: fewer than min_pts in all, and every one of them
+    # if it ends as a border point.
+    pairs = [np.empty((2, 0), dtype=np.int64)]
+    for c in np.flatnonzero((sizes < min_pts) & (np.diff(near_start) > 1)):
+        rows, cols = cells[c], np.concatenate([cells[b] for b in near[near_start[c] : near_start[c + 1]]])
+        counts = np.zeros(rows.size, dtype=np.int64)
+        for i, j, within in _eps_blocks(x, rows, cols, eps):
+            seen = counts[i : i + len(within)]  # a view, updated in place
+            seen += within.sum(axis=1)
+            r, k = np.nonzero(within & (seen < min_pts)[:, None])
+            pairs.append(np.stack([rows[i + r], cols[j + k]]))
+        core[rows] = counts >= min_pts
 
     # Join cells holding core points, pairs with the nearest core boxes first.
     core_of = [cell[core[cell]] for cell in cells]
@@ -524,20 +529,14 @@ def dbscan(points: Sequence[GeoPoint] | np.ndarray, cfg: DbscanConfig) -> Labeli
     _, first = np.unique(component, return_index=True)
     cluster_of = np.empty(n_cells, dtype=np.int64)
     cluster_of[component[np.sort(first)]] = np.arange(first.size)
-    labels = np.full(n, NOISE, dtype=np.int64)
+    labels = np.full(n, n, dtype=np.int64)  # n: not labelled yet
     labels[core_idx] = cluster_of[component]
 
-    # Border points, all in sparse cells, take the lowest adjacent cluster.
-    for c in sparse:
-        border = cells[c][~core[cells[c]]]
-        candidates = gather(core_of, c)
-        if border.size == 0 or candidates.size == 0:
-            continue
-        best = np.full(border.size, n, dtype=np.int64)
-        for i, j, within in _eps_blocks(x, border, candidates, eps):
-            reached = np.where(within, labels[candidates[j : j + within.shape[1]]], n).min(axis=1)
-            np.minimum(best[i : i + len(within)], reached, out=best[i : i + len(within)])
-        labels[border[best < n]] = best[best < n]
+    # A border point takes the lowest cluster among its kept core neighbours.
+    p, q = np.concatenate(pairs, axis=1)
+    border = ~core[p] & core[q]
+    np.minimum.at(labels, p[border], labels[q[border]])
+    labels[labels == n] = NOISE
 
     clustered = labels != NOISE
     centers, _ = _means_by_label(x[clustered], labels[clustered], first.size)

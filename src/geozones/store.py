@@ -202,17 +202,30 @@ class DocumentStore:
         self.close()
 
     def put(self, collection: str, body: dict) -> int:
-        """Validate, append and fsync one document; returns its doc_id."""
+        """Validate, append and fsync one document; returns its doc_id.
+
+        A write or fsync that fails cuts the file back to its length before
+        the put, so the put leaves the collection as it was.
+        """
         if self.read_only:
             raise StorageError("store opened read-only")
         validate_body(collection, body)
         doc_id = self._counts[collection]
         raw = canonical_json(body).encode("utf-8")
+        line = b'{"body":%s,"doc_id":%d,"len":%d}\n' % (raw, doc_id, len(raw))
         try:
-            with open(self._path(collection), "ab") as fh:
-                fh.write(b'{"body":%s,"doc_id":%d,"len":%d}\n' % (raw, doc_id, len(raw)))
-                fh.flush()
-                os.fsync(fh.fileno())
+            # Unbuffered, so closing the file cannot write the line again after a failure.
+            with open(self._path(collection), "ab", buffering=0) as fh:
+                size = fh.tell()
+                try:
+                    written = fh.write(line)
+                    if written != len(line):
+                        raise OSError(f"short write: {written} of {len(line)} bytes")
+                    os.fsync(fh.fileno())
+                except OSError:
+                    fh.truncate(size)
+                    os.fsync(fh.fileno())
+                    raise
         except OSError as exc:
             raise StorageError(f"write failed for {self._path(collection)}: {exc}") from exc
         self._counts[collection] = doc_id + 1

@@ -1,4 +1,4 @@
-"""Reference forms of the corpus stages, of ``summarize`` and of the GeoJSON builder.
+"""Reference forms of the corpus stages, of ``summarize``, of the GeoJSON builder and of k-means.
 
 The corpus part holds the per-record forms of ``geozones.corpus``'s stages:
 normalize one stored document into a ``CorpusRecord``, then filter lists of
@@ -6,10 +6,14 @@ records by keyword, bounding box and duplicates. The coverage part holds
 ``summarize`` over a ``GeoPoint`` list, with the scalar haversine. The
 export part holds the GeoJSON builder with one builder per geometry and
 members counted apart from their texts, over (cluster id, record) pairs.
+The k-means part holds k-means++ seeding, Lloyd's passes with the
+(n, k, 2) einsum distance kernel, ``np.add.at`` means and the re-seeding
+of emptied clusters, and the choice among restarts.
 All are kept here as written and never imported from ``src/``, so
-``pipeline.build_corpus``, ``coverage.summarize`` and
-``export.export_geojson`` are checked against a second, independent
-implementation. Only the data types come from the package.
+``pipeline.build_corpus``, ``coverage.summarize``,
+``export.export_geojson`` and ``clustering.kmeans`` are checked against a
+second, independent implementation. Only the data types come from the
+package.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 import math
 import unicodedata
 from collections import Counter
+
+import numpy as np
 
 from geozones.corpus import CorpusRecord
 from geozones.coverage import CoverageSummary
@@ -189,3 +195,88 @@ def export_geojson(zones, members, include_members=False, query_terms=()) -> dic
                 _point_feature(record.position, {"cluster_id": cid, "text": record.text})
             )
     return {"type": "FeatureCollection", "features": features}
+
+
+def derived_rng(seed: int, *key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
+
+
+def sq_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared Euclidean distances in degree space."""
+    diff = x[:, None, :] - centers[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def wcss(x: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
+    diff = x - centers[labels]
+    return float(np.einsum("nd,nd->", diff, diff))
+
+
+def kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: D^2-weighted draws after a uniform first center."""
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]), dtype=np.float64)
+    centers[0] = x[rng.integers(n)]
+    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = rng.integers(n)
+        centers[j] = x[idx]
+        d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+def means_by_label(x: np.ndarray, labels: np.ndarray, k: int):
+    sums = np.zeros((k, x.shape[1]), dtype=np.float64)
+    np.add.at(sums, labels, x)
+    counts = np.bincount(labels, minlength=k).astype(np.float64)
+    means = sums.copy()
+    nonzero = counts > 0
+    means[nonzero] /= counts[nonzero, None]
+    return means, counts
+
+
+def lloyd(x: np.ndarray, init_centers: np.ndarray, max_iterations: int, tolerance: float):
+    """(labels, centers, wcss) of Lloyd's passes from ``init_centers``, lowest index on ties."""
+    centers = init_centers.astype(np.float64, copy=True)
+    k = centers.shape[0]
+    prev_labels = None
+    labels = None
+    for _ in range(max_iterations):
+        d2 = sq_distances(x, centers)
+        labels = d2.argmin(axis=1)
+        # An emptied cluster moves to the point farthest from its nearest center.
+        for _attempt in range(k):
+            counts = np.bincount(labels, minlength=k)
+            empties = np.flatnonzero(counts == 0)
+            if empties.size == 0:
+                break
+            farthest = d2[np.arange(x.shape[0]), labels].argmax()
+            centers[empties[0]] = x[farthest]
+            d2 = sq_distances(x, centers)
+            labels = d2.argmin(axis=1)
+        if prev_labels is not None and np.array_equal(labels, prev_labels):
+            break
+        prev_labels = labels
+        new_centers, counts = means_by_label(x, labels, k)
+        still_empty = counts == 0
+        new_centers[still_empty] = centers[still_empty]
+        shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
+        centers = new_centers
+        if shift <= tolerance:
+            break
+    return labels, centers, wcss(x, centers, labels)
+
+
+def kmeans(x: np.ndarray, k: int, seed: int, restarts: int, max_iterations: int, tolerance: float):
+    """(labels, centers, wcss) of the restart with the lowest wcss, the first one on ties."""
+    best = None
+    for r in range(restarts):
+        init = kmeans_pp_init(x, k, derived_rng(seed, r))
+        run = lloyd(x, init, max_iterations, tolerance)
+        if best is None or run[2] < best[2]:
+            best = run
+    return best

@@ -27,6 +27,7 @@ from geozones.clustering import (
 from geozones.errors import ConfigError, CoordinateError
 from geozones.geo import EARTH_RADIUS_KM, GeoPoint, haversine_to_many
 
+from . import reference
 from .conftest import BUG_POINT, make_blobs
 from .oracles import brute_force_dbscan, brute_force_min_wcss, kahan_mean, reference_bic
 
@@ -61,12 +62,6 @@ def grid_points(n, seed):
     return [GeoPoint(lat, lon) for lat, lon in zip(rng.uniform(-60, 60, n), rng.uniform(-170, 170, n))]
 
 
-def einsum_sq_distances(x, centers):
-    """The (n, k, 2) einsum form of the squared distances, kept as the reference."""
-    diff = x[:, None, :] - centers[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
-
-
 @st.composite
 def degree_rows(draw, max_rows):
     """An (m, 2) float64 array of (lat, lon) rows, 1 <= m <= max_rows."""
@@ -80,7 +75,38 @@ def degree_rows(draw, max_rows):
 @given(x=degree_rows(200), centers=degree_rows(60))
 def test_sq_distances_equal_einsum_form(x, centers):
     # Labels and radii depend on every bit, so the two forms must agree exactly.
-    assert np.array_equal(_sq_distances(x, centers), einsum_sq_distances(x, centers))
+    assert np.array_equal(_sq_distances(x, centers), reference.sq_distances(x, centers))
+
+
+@st.composite
+def kmeans_instances(draw):
+    """At most 30 points on a coarse lattice: duplicates, exact distance ties and near-ties."""
+    lat0, lon0 = draw(st.sampled_from([(0.0, 0.0), (6.2, -75.5)]))
+    step = draw(st.sampled_from([1.0, 0.5, 0.1, 0.003]))
+    pool = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=10))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    x = np.array([(lat0 + pool[i][0] * step, lon0 + pool[i][1] * step) for i in picks])
+    cfg = KMeansConfig(
+        k=draw(st.integers(1, min(6, len(x)))),
+        max_iterations=draw(st.sampled_from([1, 2, 100])),
+        tolerance=draw(st.sampled_from([0.0, 1e-7])),
+        seed=draw(st.integers(0, 2**16)),
+        restarts=draw(st.integers(1, 4)),
+    )
+    return x, cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(kmeans_instances())
+def test_kmeans_equals_frozen_reference(instance):
+    # Labels and radii depend on every bit, so seeding, Lloyd's passes and the
+    # restart choice must all match the reference exactly.
+    x, cfg = instance
+    got = kmeans(x, cfg)
+    labels, centers, wcss = reference.kmeans(x, cfg.k, cfg.seed, cfg.restarts, cfg.max_iterations, cfg.tolerance)
+    assert np.array_equal(got.labels, labels)
+    assert got.centers.tobytes() == centers.tobytes()
+    assert got.wcss.hex() == wcss.hex()
 
 
 class TestKMeans:
@@ -473,6 +499,35 @@ class TestDbscan:
         assert (d <= eps).all()
         assert d.max() > 0.99 * eps
         assert self.assert_oracle(points, eps, 4).tolist() == [0, 0, 0, 0]
+
+
+class TestDbscanWork:
+    """Counted work: the number of ``haversine_to_many`` calls, which wall-time noise does not move."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+
+        def counted(*args):
+            count[0] += 1
+            return haversine_to_many(*args)
+
+        monkeypatch.setattr(clustering, "haversine_to_many", counted)
+        return count
+
+    def test_cells_alone_in_reach_compute_no_distance(self, calls):
+        # 11 km apart with eps 5 km: every point is a cell with no other cell in reach.
+        lattice = [GeoPoint(5.9 + 0.1 * i, -75.8 + 0.1 * j) for i in range(8) for j in range(8)][:50]
+        labeling = dbscan(lattice, DbscanConfig(eps_km=5.0, min_pts=5))
+        assert labeling.labels.tolist() == [NOISE] * 50
+        assert calls[0] == 0
+
+    def test_criterion_3_blobs_call_bound(self, calls):
+        from .conftest import sample_centers_in_box
+
+        points = make_blobs(sample_centers_in_box(10, seed=42), sigma=0.01, n_per=60, seed=7)
+        dbscan(points, DbscanConfig(eps_km=5.0, min_pts=5))
+        assert calls[0] <= 70  # measured when the border labels moved into the count pass
 
 
 class TestClusterReport:

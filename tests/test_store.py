@@ -1,9 +1,14 @@
+import builtins
+import errno
 import json
+import os
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from geozones import store as store_module
 from geozones.errors import SchemaError, StorageError
 from geozones.geo import GeoPoint
 from geozones.ingest import PhotoRecord, RawTweet
@@ -199,6 +204,60 @@ class TestTornTail:
         assert f"{path}:2:" in str(excinfo.value)
 
 
+class TestFailedPut:
+    """A put whose write or fsync fails raises StorageError and leaves the file as it was."""
+
+    @staticmethod
+    def ids_and_texts(directory):
+        with DocumentStore(directory, read_only=True) as store:
+            return [(d.doc_id, d.body["text"]) for d in store.scan("tweet")]
+
+    def test_write_stopped_half_way(self, tmp_path, monkeypatch):
+        class HalfWrite:
+            """A file whose write puts down half of the data, then finds the disk full."""
+
+            def __init__(self, fh):
+                self._fh = fh
+
+            def write(self, data):
+                self._fh.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self._fh.close()
+
+        with DocumentStore(tmp_path) as store:
+            store.put("tweet", dict(VALID_TWEET, text="t0"))
+            monkeypatch.setattr(store_module, "open", lambda *a, **kw: HalfWrite(builtins.open(*a, **kw)), raising=False)
+            with pytest.raises(StorageError):
+                store.put("tweet", dict(VALID_TWEET, text="t1"))
+            monkeypatch.undo()
+            assert store.put("tweet", dict(VALID_TWEET, text="t2")) == 1
+        assert self.ids_and_texts(tmp_path) == [(0, "t0"), (1, "t2")]
+
+    def test_fsync_failed_after_a_full_write(self, tmp_path, monkeypatch):
+        fsync, failures = os.fsync, [OSError(errno.EIO, os.strerror(errno.EIO))]
+
+        def fsync_failing_once(fd):
+            if failures:
+                raise failures.pop()
+            fsync(fd)
+
+        with DocumentStore(tmp_path) as store:
+            store.put("tweet", dict(VALID_TWEET, text="t0"))
+            monkeypatch.setattr(os, "fsync", fsync_failing_once)
+            with pytest.raises(StorageError):
+                store.put("tweet", dict(VALID_TWEET, text="t1"))
+            assert store.put("tweet", dict(VALID_TWEET, text="t2")) == 1
+        assert self.ids_and_texts(tmp_path) == [(0, "t0"), (1, "t2")]
+
+
 def framed(body: dict, doc_id="1", length=None) -> str:
     """A stored line for ``body``: the canonical envelope, with ``len`` overridable."""
     text = canonical_json(body)
@@ -314,6 +373,70 @@ class TestFrame:
                 assert [d.body for d in scanned] == bodies
                 # == takes -0.0 for 0.0; the floats' reprs must match too.
                 assert [canonical_json(d.body) for d in scanned] == list(map(canonical_json, bodies))
+
+
+# Tokens that have broken, or could break, a reader: invalid UTF-8, a lone
+# surrogate escaped and raw, NUL, a number too long to convert, nesting too
+# deep to decode, an overflowing float, signed and padded numbers, and extra
+# frame keys.
+HOSTILE = [
+    b"\xff",
+    b"\\ud800",
+    "\ud800".encode("utf-8", "surrogatepass"),
+    b"\x00",
+    b"9" * 5000,
+    b"[" * 3000,
+    b"1e400",
+    b"-0",
+    b"00",
+    b'"len":',
+    b'"doc_id":',
+    b',"len":1',
+    b',"doc_id":0',
+]
+
+
+@st.composite
+def stored_lines(draw):
+    """A canonical envelope around the tweet body or a hostile token, with tokens or random bytes spliced in."""
+
+    def splice(data: bytes, edits: int) -> bytes:
+        for _ in range(edits):
+            at = draw(st.integers(0, len(data)))
+            piece = draw(st.sampled_from(HOSTILE) | st.binary(max_size=8))
+            data = data[:at] + piece + data[at + draw(st.integers(0, 6)) :]
+        return data
+
+    body = splice(draw(st.sampled_from([BODY.encode("utf-8")] + HOSTILE)), draw(st.integers(0, 3)))
+    length = len(body) if draw(st.booleans()) else draw(st.integers(0, 2 * len(body)))
+    line = b'{"body":%s,"doc_id":%d,"len":%d}' % (body, draw(st.integers(0, 2)), length)
+    return splice(line, draw(st.integers(0, 2)))
+
+
+class TestLineContract:
+    """Whatever bytes a line holds, ``scan`` returns a body or raises StorageError naming path:line."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(line=stored_lines() | st.binary(max_size=64))
+    def test_any_line_reads_or_names_its_line(self, tmp_path_factory, line):
+        directory = tmp_path_factory.mktemp("store")
+        path = directory / "tweet.jsonl"
+        path.write_bytes(framed(VALID_TWEET, doc_id=0).encode("utf-8") + b"\n" + line + b"\n")
+        with DocumentStore(directory, read_only=True) as store:
+            try:
+                docs = list(store.scan("tweet"))
+            except StorageError as exc:
+                assert re.match(rf"corrupt record at {re.escape(str(path))}:[0-9]+: ", str(exc)), exc
+            else:
+                assert docs[0].body == VALID_TWEET
+                assert all(isinstance(d.body, dict) for d in docs)
+
+    # Seeded with each token as a whole body under a frame with the right len.
+    for token in [BODY.encode("utf-8")] + HOSTILE:
+        test_any_line_reads_or_names_its_line = example(line=b'{"body":%s,"doc_id":1,"len":%d}' % (token, len(token)))(
+            test_any_line_reads_or_names_its_line
+        )
+    del token
 
 
 class TestStats:
