@@ -49,18 +49,23 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def ingest_command(input_dir, kind: str, store_dir, out=None) -> StoreStats:
-    """Replay a fixture directory into the store; returns final store stats."""
+    """Replay a fixture directory into the store; returns final store stats.
+
+    The run is one store batch: its records become durable together at the
+    end, or, if anything fails, none of them is kept.
+    """
     out = out if out is not None else sys.stdout
     with DocumentStore(store_dir) as store:
-        for item in replay_source(input_dir, kind):
-            if isinstance(item, ReplaySummary):
-                for name, reason in item.failures:
-                    print(f"skipped {name}: {reason}", file=sys.stderr)
-                print(f"parsed {item.parsed} record(s), skipped {item.skipped} file(s)", file=out)
-            elif kind == "tweet":
-                store.put("tweet", tweet_body(item))
-            else:
-                store.put("photo", photo_body(item))
+        with store.batch():
+            for item in replay_source(input_dir, kind):
+                if isinstance(item, ReplaySummary):
+                    for name, reason in item.failures:
+                        print(f"skipped {name}: {reason}", file=sys.stderr)
+                    print(f"parsed {item.parsed} record(s), skipped {item.skipped} file(s)", file=out)
+                elif kind == "tweet":
+                    store.put("tweet", tweet_body(item))
+                else:
+                    store.put("photo", photo_body(item))
         stats = store.stats()
     print(f"store now holds {stats.tweet_count} tweet(s), {stats.photo_count} photo(s)", file=out)
     return stats

@@ -11,6 +11,7 @@ records from fixture directories instead.
 from __future__ import annotations
 
 import json
+import os
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
@@ -231,12 +232,14 @@ ReplayItem = Union[RawTweet, PhotoRecord, ReplaySummary]
 
 
 def _replay_files(directory: Path) -> list[Path]:
-    if not directory.is_dir():
-        raise StorageError(f"replay directory not readable: {directory}")
+    # Sorting names, not Paths, gives the same order for one directory at a fraction of
+    # the cost; DirEntry.is_file follows symlinks as Path.is_file does, mostly without a stat.
     try:
-        return sorted(p for p in directory.iterdir() if p.is_file() and not p.name.startswith("."))
+        with os.scandir(directory) as entries:
+            names = sorted(e.name for e in entries if e.is_file() and not e.name.startswith("."))
     except OSError as exc:
         raise StorageError(f"replay directory not readable: {directory}: {exc}") from exc
+    return [directory / name for name in names]
 
 
 def replay_source(directory, kind: str) -> Iterator[ReplayItem]:

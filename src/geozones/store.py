@@ -26,6 +26,7 @@ import fcntl
 import json
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -148,6 +149,8 @@ class DocumentStore:
         self.read_only = read_only
         self._lock_fd = None
         self._counts: dict[str, int] = {}
+        self._batch: dict | None = None  # collection -> (file, length at batch start, created)
+        self._failed_put: OSError | None = None
         if read_only:
             if not self.directory.is_dir():
                 raise StorageError(f"no store directory at {self.directory}")
@@ -201,32 +204,88 @@ class DocumentStore:
     def __exit__(self, *exc_info):
         self.close()
 
-    def put(self, collection: str, body: dict) -> int:
-        """Validate, append and fsync one document; returns its doc_id.
+    @contextmanager
+    def batch(self):
+        """Make the puts inside the block one all-or-nothing write.
 
-        A write or fsync that fails cuts the file back to its length before
-        the put, so the put leaves the collection as it was.
+        Each collection file is opened once, at its first put, and each put
+        appends its line without an fsync. On a clean exit each touched file
+        is fsynced once, then the store directory if the batch created a
+        file, so the block's documents become durable together. On any
+        exception, a failed put or fsync included, each touched file is cut
+        back to its length at batch start (a file the batch created is
+        removed), the cut is fsynced, the doc_ids are handed out again and
+        the exception propagates, an OSError as StorageError. Batches do not
+        nest.
         """
         if self.read_only:
             raise StorageError("store opened read-only")
+        if self._batch is not None:
+            raise StorageError("a batch is already open on this store")
+        files = self._batch = {}
+        counts = dict(self._counts)
+        self._failed_put = None
+        try:
+            try:
+                yield
+                if self._failed_put is not None:  # the caller went on after a put raised
+                    raise StorageError(f"batch ended after a failed put: {self._failed_put}")
+                for fh, _, _ in files.values():
+                    os.fsync(fh.fileno())
+                if any(created for _, _, created in files.values()):
+                    self._fsync_directory()
+            except BaseException:
+                self._counts = counts
+                for fh, size, created in files.values():
+                    fh.truncate(size)
+                    os.fsync(fh.fileno())
+                    if created:
+                        os.unlink(fh.name)
+                raise
+            finally:
+                self._batch = None
+                for fh, _, _ in files.values():
+                    fh.close()
+        except OSError as exc:
+            raise StorageError(f"write failed in {self.directory}: {exc}") from exc
+
+    def _fsync_directory(self):
+        # A new file's directory entry is durable only once the directory is fsynced.
+        fd = os.open(self.directory, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+    def put(self, collection: str, body: dict) -> int:
+        """Validate and append one document; returns its doc_id.
+
+        Outside a batch the put is a batch of one: the document is durable
+        when put returns, and a failed write or fsync leaves the file as it
+        was. Inside a batch the document becomes durable at batch exit.
+        """
+        if self._batch is None:
+            with self.batch():
+                return self.put(collection, body)
+        if self._failed_put is not None:
+            raise StorageError(f"an earlier put in this batch failed: {self._failed_put}")
         validate_body(collection, body)
         doc_id = self._counts[collection]
         raw = canonical_json(body).encode("utf-8")
         line = b'{"body":%s,"doc_id":%d,"len":%d}\n' % (raw, doc_id, len(raw))
         try:
-            # Unbuffered, so closing the file cannot write the line again after a failure.
-            with open(self._path(collection), "ab", buffering=0) as fh:
-                size = fh.tell()
-                try:
-                    written = fh.write(line)
-                    if written != len(line):
-                        raise OSError(f"short write: {written} of {len(line)} bytes")
-                    os.fsync(fh.fileno())
-                except OSError:
-                    fh.truncate(size)
-                    os.fsync(fh.fileno())
-                    raise
+            entry = self._batch.get(collection)
+            if entry is None:
+                path = self._path(collection)
+                created = not path.exists()
+                # Unbuffered, so closing the file cannot write a failed line again.
+                fh = open(path, "ab", buffering=0)
+                entry = self._batch[collection] = (fh, fh.tell(), created)
+            written = entry[0].write(line)
+            if written != len(line):
+                raise OSError(f"short write: {written} of {len(line)} bytes")
         except OSError as exc:
+            self._failed_put = exc
             raise StorageError(f"write failed for {self._path(collection)}: {exc}") from exc
         self._counts[collection] = doc_id + 1
         return doc_id

@@ -401,6 +401,17 @@ class TestReplaySource:
         with pytest.raises(StorageError):
             list(replay_source(tmp_path / "missing", "tweet"))
 
+    def test_file_listing_matches_path_listing(self, tmp_path):
+        for name in ("b.json", "B.json", "a.json", "10.json", "9.json", "ñandú.json", "éclair", "Zz", "_x", ".hidden"):
+            (tmp_path / name).write_text("{}", encoding="utf-8")
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.json").symlink_to(tmp_path / "a.json")
+        (tmp_path / "dangling.json").symlink_to(tmp_path / "nosuch.json")
+        (tmp_path / "sublink").symlink_to(tmp_path / "sub")
+        expected = sorted(p for p in tmp_path.iterdir() if p.is_file() and not p.name.startswith("."))
+        assert ingest._replay_files(tmp_path) == expected
+        assert tmp_path / "link.json" in expected and tmp_path / "dangling.json" not in expected
+
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(ConfigError):
             list(replay_source(tmp_path, "video"))

@@ -1,8 +1,11 @@
 import json
+import os
+import stat
 
 import pytest
 
 from geozones import corpus, pipeline
+from geozones import store as store_module
 from geozones.cli import (
     EXIT_EMPTY_CORPUS,
     EXIT_ERROR,
@@ -14,7 +17,7 @@ from geozones.cli import (
 )
 from geozones.clustering import DbscanConfig, KMeansConfig, XMeansConfig
 from geozones.corpus import BoundingBox, KeywordQuery
-from geozones.errors import EmptyCorpusError
+from geozones.errors import EmptyCorpusError, StorageError
 from geozones.geo import GeoPoint
 from geozones.pipeline import PipelineConfig, run_pipeline
 from geozones.store import DocumentStore, canonical_json
@@ -207,6 +210,67 @@ class TestIngestCommand:
             doc = next(store.scan("photo"))
         assert doc.body["name"] == "mirador"
         assert doc.body["geo"]["accuracy"] == 6
+
+
+def tweet_directory(directory, count: int):
+    directory.mkdir()
+    for i in range(count):
+        write_tweet_file(directory, f"t{i:03}.json", GeoPoint(6.2 + i * 1e-3, -75.5), text="fiesta")
+    return directory
+
+
+def collection_files(store_dir) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(store_dir.glob("*.jsonl"))}
+
+
+class TestIngestAtomic:
+    """An ingest run stores all of its records or, if one put fails, none of them."""
+
+    @pytest.mark.parametrize("held", [0, 2], ids=["empty-store", "store-with-records"])
+    def test_put_failing_at_third_record_keeps_nothing(self, tmp_path, monkeypatch, capsys, held):
+        src = tweet_directory(tmp_path / "in", 5)
+        store_dir = tmp_path / "store"
+        populate_store(store_dir, [GeoPoint(6.3, -75.6)] * held)
+        before = collection_files(store_dir)
+        put, calls = DocumentStore.put, []
+
+        def put_failing_at_third(self, collection, body):
+            calls.append(collection)
+            if len(calls) == 3:
+                raise StorageError("disk gone")
+            return put(self, collection, body)
+
+        monkeypatch.setattr(DocumentStore, "put", put_failing_at_third)
+        assert main(["ingest", "--input", str(src), "--kind", "tweet", "--store", str(store_dir)]) == EXIT_ERROR
+        monkeypatch.undo()
+        assert "disk gone" in capsys.readouterr().err
+        assert len(calls) == 3
+        assert collection_files(store_dir) == before
+        assert ingest_command(src, "tweet", store_dir).tweet_count == held + 5
+
+
+class TestIngestWork:
+    """Counted work: the fsyncs of one ingest run do not grow with its records."""
+
+    FSYNC_BOUND = 4  # one per touched file plus the store directory's; ingest touches one file
+
+    def test_fsyncs_per_ingest_run(self, tmp_path, monkeypatch):
+        src = tweet_directory(tmp_path / "in", 60)
+        fsync, synced = os.fsync, []
+
+        def counting_fsync(fd):
+            synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            fsync(fd)
+
+        monkeypatch.setattr(store_module.os, "fsync", counting_fsync)
+        runs = []
+        for _ in range(2):
+            synced.clear()
+            ingest_command(src, "tweet", tmp_path / "store")
+            runs.append(list(synced))
+        assert max(len(run) for run in runs) <= self.FSYNC_BOUND
+        # The first run creates tweet.jsonl, so its directory entry is fsynced too; the second does not.
+        assert runs == [["file", "dir"], ["file"]]
 
 
 class TestCliMain:

@@ -3,6 +3,7 @@ import errno
 import json
 import os
 import re
+import stat
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,7 @@ from geozones import store as store_module
 from geozones.errors import SchemaError, StorageError
 from geozones.geo import GeoPoint
 from geozones.ingest import PhotoRecord, RawTweet
-from geozones.store import DocumentStore, canonical_json, photo_body, tweet_body
+from geozones.store import COLLECTIONS, DocumentStore, canonical_json, photo_body, tweet_body
 
 VALID_PHOTO = {"geo": {"latitude": 6.24, "longitude": -75.58, "accuracy": 6}, "name": "parque"}
 VALID_TWEET = {
@@ -256,6 +257,173 @@ class TestFailedPut:
                 store.put("tweet", dict(VALID_TWEET, text="t1"))
             assert store.put("tweet", dict(VALID_TWEET, text="t2")) == 1
         assert self.ids_and_texts(tmp_path) == [(0, "t0"), (1, "t2")]
+
+
+class FailingWrite:
+    """A file whose write number ``countdown[0]``, counted over every wrapper sharing the
+    list, puts down half of its data and then fails with ENOSPC (with ``short``, returns
+    the shorter count instead)."""
+
+    def __init__(self, fh, countdown: list, short: bool):
+        self._fh, self._countdown, self._short = fh, countdown, short
+
+    def write(self, data):
+        self._countdown[0] -= 1
+        if self._countdown[0]:
+            return self._fh.write(data)
+        written = self._fh.write(data[: len(data) // 2])
+        if self._short:
+            return written
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+class TestBatch:
+    """A batch makes all of its puts durable at exit, or leaves both files as they were."""
+
+    PUTS = [
+        ("tweet", dict(VALID_TWEET, text="b0")),
+        ("photo", dict(VALID_PHOTO, name="b1")),
+        ("tweet", dict(VALID_TWEET, text="b2")),
+        ("photo", dict(VALID_PHOTO, name="b3")),
+        ("tweet", dict(VALID_TWEET, text="b4")),
+    ]
+
+    @staticmethod
+    def open_store(directory, state):
+        """A writable store holding nothing, or one tweet and one photo."""
+        store = DocumentStore(directory)
+        if state == "seeded":
+            store.put("tweet", VALID_TWEET)
+            store.put("photo", VALID_PHOTO)
+        return store
+
+    @staticmethod
+    def files(directory):
+        return {c: (directory / f"{c}.jsonl").read_bytes() for c in COLLECTIONS if (directory / f"{c}.jsonl").exists()}
+
+    def run_batch(self, store):
+        with store.batch():
+            for collection, body in self.PUTS:
+                store.put(collection, body)
+
+    def assert_as_before(self, store, directory, before, state):
+        assert self.files(directory) == before
+        held = 1 if state == "seeded" else 0
+        assert store.put("tweet", VALID_TWEET) == held
+        assert store.put("photo", VALID_PHOTO) == held
+
+    @pytest.mark.parametrize("state", ["empty", "seeded"])
+    @pytest.mark.parametrize("short", [False, True], ids=["error", "short"])
+    @pytest.mark.parametrize("k", [1, 2, 4, 5])
+    def test_write_failing_at_kth_put(self, tmp_path, monkeypatch, state, short, k):
+        with self.open_store(tmp_path, state) as store:
+            before = self.files(tmp_path)
+            countdown = [k]
+            monkeypatch.setattr(
+                store_module, "open", lambda *a, **kw: FailingWrite(builtins.open(*a, **kw), countdown, short), raising=False
+            )
+            with pytest.raises(StorageError, match="No space left|short write"):
+                self.run_batch(store)
+            monkeypatch.undo()
+            self.assert_as_before(store, tmp_path, before, state)
+
+    @pytest.mark.parametrize("state, failing", [("seeded", 1), ("seeded", 2), ("empty", 1), ("empty", 3)])
+    def test_fsync_failing_at_exit(self, tmp_path, monkeypatch, state, failing):
+        # The third fsync of a batch that created both files is the directory's.
+        fsync, countdown = os.fsync, [failing]
+
+        def fsync_failing_once(fd):
+            countdown[0] -= 1
+            if countdown[0] == 0:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            fsync(fd)
+
+        with self.open_store(tmp_path, state) as store:
+            before = self.files(tmp_path)
+            monkeypatch.setattr(os, "fsync", fsync_failing_once)
+            with pytest.raises(StorageError, match="Input/output error"):
+                self.run_batch(store)
+            monkeypatch.undo()
+            self.assert_as_before(store, tmp_path, before, state)
+
+    @pytest.mark.parametrize("state", ["empty", "seeded"])
+    def test_caller_exception(self, tmp_path, state):
+        with self.open_store(tmp_path, state) as store:
+            before = self.files(tmp_path)
+            with pytest.raises(ValueError, match="caller"):
+                with store.batch():
+                    for collection, body in self.PUTS:
+                        store.put(collection, body)
+                    raise ValueError("caller gave up")
+            self.assert_as_before(store, tmp_path, before, state)
+
+    def test_caller_going_on_after_a_failed_put(self, tmp_path, monkeypatch):
+        # The failed put left half a line, so nothing after it may be kept either.
+        with self.open_store(tmp_path, "seeded") as store:
+            before = self.files(tmp_path)
+            countdown = [2]
+            monkeypatch.setattr(
+                store_module, "open", lambda *a, **kw: FailingWrite(builtins.open(*a, **kw), countdown, False), raising=False
+            )
+            with pytest.raises(StorageError, match="after a failed put"):
+                with store.batch():
+                    store.put(*self.PUTS[0])
+                    for collection, body in self.PUTS[1:]:
+                        with pytest.raises(StorageError):
+                            store.put(collection, body)
+            monkeypatch.undo()
+            self.assert_as_before(store, tmp_path, before, "seeded")
+
+    @pytest.mark.parametrize(
+        "state, puts, synced",
+        [
+            ("seeded", PUTS, ["file", "file"]),
+            ("seeded", PUTS[::2], ["file"]),
+            ("empty", PUTS, ["file", "file", "dir"]),
+            ("empty", PUTS[:1], ["file", "dir"]),
+        ],
+        ids=["both-files", "one-file", "both-created", "one-created"],
+    )
+    def test_clean_batch_fsyncs_each_touched_file_once(self, tmp_path, monkeypatch, state, puts, synced):
+        fsync, seen = os.fsync, []
+
+        def counting_fsync(fd):
+            seen.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            fsync(fd)
+
+        with self.open_store(tmp_path, state) as store:
+            held = {c: len(list(store.scan(c))) for c in COLLECTIONS}
+            monkeypatch.setattr(store_module.os, "fsync", counting_fsync)
+            with store.batch():
+                ids = [store.put(collection, body) for collection, body in puts]
+            monkeypatch.undo()
+        assert seen == synced
+        expected = dict(held)
+        for (collection, _), doc_id in zip(puts, ids):
+            assert doc_id == expected[collection]
+            expected[collection] += 1
+        with DocumentStore(tmp_path, read_only=True) as store:
+            stored = {c: [d.body for d in store.scan(c)][held[c]:] for c in COLLECTIONS}
+        assert stored == {c: [b for col, b in puts if col == c] for c in COLLECTIONS}
+
+    def test_put_outside_a_batch_fsyncs_once(self, tmp_path, monkeypatch):
+        fsync, seen = os.fsync, []
+        with self.open_store(tmp_path, "seeded") as store:
+            monkeypatch.setattr(store_module.os, "fsync", lambda fd: seen.append(fd) or fsync(fd))
+            assert store.put("tweet", VALID_TWEET) == 1
+        assert len(seen) == 1
+
+    def test_batches_do_not_nest(self, tmp_path):
+        with self.open_store(tmp_path, "empty") as store:
+            with store.batch():
+                store.put("tweet", VALID_TWEET)
+                with pytest.raises(StorageError, match="already open"):
+                    with store.batch():
+                        pass
+            assert [d.doc_id for d in store.scan("tweet")] == [0]
 
 
 def framed(body: dict, doc_id="1", length=None) -> str:
