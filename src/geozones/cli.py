@@ -25,7 +25,10 @@ def _seed_from_env(args) -> int:
         return args.seed
     if not (env.isascii() and env.isdigit()):
         raise ZoneError(f"ZONE_SEED must be a non-negative decimal integer, got {env!r}")
-    return int(env)
+    try:
+        return int(env)
+    except ValueError as exc:  # more digits than int() converts
+        raise ZoneError(f"ZONE_SEED has {len(env)} digits, more than int() converts") from exc
 
 
 def _pipeline_config(args) -> PipelineConfig:

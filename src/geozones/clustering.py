@@ -323,8 +323,12 @@ _BLOCK = 1 << 16
 
 
 def _reach_rad(eps_km: float) -> float:
-    """eps as an angle, widened so a pair that computes as within eps stays in reach."""
-    return eps_km * (1.0 + _H_MARGIN) / EARTH_RADIUS_KM
+    """eps as an angle, widened so a pair that computes as within eps stays in reach.
+
+    Capped at pi: any two points are within pi radians, so a larger eps
+    reaches no further, and the cap keeps the grid's row offsets finite.
+    """
+    return min(eps_km * (1.0 + _H_MARGIN) / EARTH_RADIUS_KM, math.pi)
 
 
 def _grid(x: np.ndarray, eps_km: float):

@@ -1,15 +1,15 @@
 """Normalized (latitude, longitude, text) corpus and its filters.
 
 Stored documents become columns, one row per located record; keyword,
-bounding-box and dedup filters select rows before clustering. Iterating the
-columns yields ``CorpusRecord``s; the pipeline builds none. Text is for
-filtering only, never part of any distance computation.
+bounding-box and dedup filters select rows before clustering. The keyword
+filter is the one text matcher and keeps each row's term hits as a column.
+Iterating the columns yields ``CorpusRecord``s; the pipeline builds none.
 """
 
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -39,13 +39,14 @@ class CorpusColumns:
     text: np.ndarray  # str
     origin: np.ndarray  # "tweet" | "photo"
     doc_id: np.ndarray  # int
+    hits: np.ndarray  # (n, t) bool: row i holds query term j; t = 0 before the keyword filter
 
     def __len__(self) -> int:
         return len(self.text)
 
     def take(self, rows) -> CorpusColumns:
         """The rows a boolean mask or an index list selects, in index order."""
-        return CorpusColumns(self.x[rows], self.text[rows], self.origin[rows], self.doc_id[rows])
+        return CorpusColumns(self.x[rows], self.text[rows], self.origin[rows], self.doc_id[rows], self.hits[rows])
 
     def __iter__(self) -> Iterator[CorpusRecord]:
         rows = zip(self.x.tolist(), self.text.tolist(), self.origin.tolist(), self.doc_id.tolist())
@@ -118,15 +119,15 @@ def normalize(docs: Iterable[StoredDocument]) -> CorpusColumns:
         origin.append(doc.collection)
         doc_id.append(doc.doc_id)
     columns = (np.array(column, dtype=object) for column in (text, origin, doc_id))
-    return CorpusColumns(np.array(xy, dtype=np.float64).reshape(-1, 2), *columns)
+    return CorpusColumns(np.array(xy, dtype=np.float64).reshape(-1, 2), *columns, np.zeros((len(text), 0), dtype=bool))
 
 
 def filter_keywords(corpus: CorpusColumns, query: KeywordQuery) -> CorpusColumns:
-    """Keep rows whose folded text contains the query terms (substring)."""
-    folded_terms = [fold_text(t) for t in query.terms]
-    combine = any if query.mode == "any" else all
-    hits = [combine(term in haystack for term in folded_terms) for haystack in map(fold_text, corpus.text)]
-    return corpus.take(np.array(hits, dtype=bool))
+    """Keep rows whose folded text contains any or all folded query terms; ``hits[i, j]``: row i holds term j."""
+    terms = [fold_text(t) for t in query.terms]
+    found = (term in text for text in map(fold_text, corpus.text) for term in terms)
+    hits = np.fromiter(found, dtype=bool, count=len(corpus) * len(terms)).reshape(len(corpus), len(terms))
+    return replace(corpus, hits=hits).take(hits.any(axis=1) if query.mode == "any" else hits.all(axis=1))
 
 
 def filter_bbox(corpus: CorpusColumns, box: BoundingBox) -> tuple[CorpusColumns, CorpusColumns]:

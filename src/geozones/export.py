@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CorpusColumns, fold_text
+from .corpus import CorpusColumns
 from .coverage import CoverageSummary
 from .errors import StorageError
 from .geo import GeoPoint
@@ -34,13 +34,6 @@ def _feature(geometry_type: str, coordinates: list, properties: dict) -> dict:
     }
 
 
-def top_terms(texts: Sequence[str], query_terms: Sequence[str]) -> list[str]:
-    """Query terms present in at least one of the texts, alphabetically."""
-    haystacks = [fold_text(text) for text in texts]
-    needles = {term: fold_text(term) for term in query_terms}
-    return sorted(term for term, needle in needles.items() if any(needle in haystack for haystack in haystacks))
-
-
 def export_geojson(
     zones: Sequence[tuple[CoverageSummary, Sequence[GeoPoint]]],
     labels: np.ndarray,
@@ -51,20 +44,23 @@ def export_geojson(
     """Build the zone FeatureCollection from (summary, closed ring) pairs.
 
     ``members`` holds the clustered corpus rows in corpus order, and
-    ``labels[i]`` is the cluster id of row i; they feed the
-    member_count/top_terms properties and the optional member point features.
+    ``labels[i]`` is the cluster id of row i. Column j of ``members.hits``
+    marks the rows holding ``query_terms[j]``; a zone's top_terms are the
+    distinct terms its members hold, alphabetically.
     """
     labels = np.asarray(labels)
     if len(labels) != len(members):
         raise ValueError(f"labels cover {len(labels)} members, got {len(members)}")
+    if members.hits.shape[1] != len(query_terms):
+        raise ValueError(f"hits cover {members.hits.shape[1]} query terms, got {len(query_terms)}")
     features = []
     for summary, _ in zones:
-        texts = members.text[labels == summary.cluster_id].tolist()
+        held = members.hits[labels == summary.cluster_id]
         properties = {
             "cluster_id": summary.cluster_id,
             "radius_km": summary.radius_km,
-            "member_count": len(texts),
-            "top_terms": top_terms(texts, query_terms),
+            "member_count": len(held),
+            "top_terms": sorted({term for term, found in zip(query_terms, held.any(axis=0).tolist()) if found}),
         }
         features.append(_feature("Point", _position(summary.point_of_means), properties))
     for summary, ring in zones:

@@ -10,6 +10,8 @@ from geozones.corpus import CorpusColumns
 from geozones.geo import GeoPoint
 from geozones.store import DocumentStore
 
+from . import reference
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 # Coordinates of the known mislocated record (far outside the study area).
@@ -31,13 +33,16 @@ def photo_geo_payload() -> str:
     return (FIXTURES / "photo_geo_entity.xml").read_text(encoding="utf-8")
 
 
-def columns(records) -> CorpusColumns:
-    """The corpus columns holding ``records`` as rows, in order."""
+def columns(records, terms=()) -> CorpusColumns:
+    """The corpus columns holding ``records`` as rows, in order, with their hits of ``terms``."""
+    folded = [reference.fold_text(term) for term in terms]
+    hits = [[term in reference.fold_text(r.text) for term in folded] for r in records]
     return CorpusColumns(
         x=np.array([(r.position.lat_deg, r.position.lon_deg) for r in records], dtype=np.float64).reshape(-1, 2),
         text=np.array([r.text for r in records], dtype=object),
         origin=np.array([r.origin for r in records], dtype=object),
         doc_id=np.array([r.source_doc_id for r in records], dtype=object),
+        hits=np.array(hits, dtype=bool).reshape(len(records), len(folded)),
     )
 
 

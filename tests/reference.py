@@ -8,11 +8,14 @@ export part holds the GeoJSON builder with one builder per geometry and
 members counted apart from their texts, over (cluster id, record) pairs.
 The k-means part holds k-means++ seeding, Lloyd's passes with the
 (n, k, 2) einsum distance kernel, ``np.add.at`` means and the re-seeding
-of emptied clusters, and the choice among restarts.
+of emptied clusters, and the choice among restarts. The X-means part holds
+the pooled-variance BIC and the split search over that k-means: trial
+splits seeded per (round, cluster), gains above zero, the largest gains
+(lowest cluster id on ties) kept up to k_max, and Lloyd's polish.
 All are kept here as written and never imported from ``src/``, so
 ``pipeline.build_corpus``, ``coverage.summarize``,
-``export.export_geojson`` and ``clustering.kmeans`` are checked against a
-second, independent implementation. Only the data types come from the
+``export.export_geojson``, ``clustering.kmeans`` and ``clustering.xmeans``
+are checked against a second, independent implementation. Only the data types come from the
 package.
 """
 
@@ -280,3 +283,60 @@ def kmeans(x: np.ndarray, k: int, seed: int, restarts: int, max_iterations: int,
         if best is None or run[2] < best[2]:
             best = run
     return best
+
+
+def bic(x: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
+    """Spherical-Gaussian BIC, pooled variance over n - k degrees of freedom; -inf when degenerate."""
+    n, dims = x.shape
+    k = centers.shape[0]
+    if n <= k:
+        return -math.inf
+    rss = wcss(x, centers, labels)
+    if rss <= 0.0:
+        return -math.inf
+    variance = rss / (dims * (n - k))
+    counts = np.bincount(labels, minlength=k).astype(np.float64)
+    counts = counts[counts > 0]
+    log_likelihood = (
+        float((counts * np.log(counts)).sum())
+        - n * math.log(n)
+        - (n * dims / 2.0) * math.log(2.0 * math.pi * variance)
+        - float(((counts - k) / 2.0).sum())
+    )
+    return log_likelihood - (k * (dims + 1) / 2.0) * math.log(n)
+
+
+def xmeans(x: np.ndarray, k_min: int, k_max: int, seed: int, restarts: int, max_iterations: int, tolerance: float):
+    """(labels, centers, wcss) of the BIC-scored split search from a k_min-means solution."""
+    labels, centers, total = kmeans(x, k_min, seed, restarts, max_iterations, tolerance)
+    round_idx = 0
+    while centers.shape[0] < k_max:
+        k = centers.shape[0]
+        candidates = []
+        for cid in range(k):
+            member_idx = np.flatnonzero(labels == cid)
+            if member_idx.size < 2:
+                continue
+            members = x[member_idx]
+            parent_bic = bic(members, centers[cid][None, :], np.zeros(member_idx.size, dtype=np.int64))
+            sequence = np.random.SeedSequence(entropy=seed, spawn_key=(round_idx, cid))
+            split_seed = int(sequence.generate_state(1, np.uint64)[0])
+            split_labels, split_centers, _ = kmeans(members, 2, split_seed, restarts, max_iterations, tolerance)
+            if np.unique(split_labels).size < 2:
+                continue
+            gain = bic(members, split_centers, split_labels) - parent_bic
+            if gain > 0:
+                candidates.append((gain, cid, split_centers))
+        if not candidates:
+            break
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        accepted = {cid: split_centers for _, cid, split_centers in candidates[: k_max - k]}
+        new_centers = []
+        for cid in range(k):
+            if cid in accepted:
+                new_centers.extend(accepted[cid])
+            else:
+                new_centers.append(centers[cid])
+        labels, centers, total = lloyd(x, np.asarray(new_centers), max_iterations, tolerance)
+        round_idx += 1
+    return labels, centers, total

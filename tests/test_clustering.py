@@ -1,8 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -104,6 +105,66 @@ def test_kmeans_equals_frozen_reference(instance):
     x, cfg = instance
     got = kmeans(x, cfg)
     labels, centers, wcss = reference.kmeans(x, cfg.k, cfg.seed, cfg.restarts, cfg.max_iterations, cfg.tolerance)
+    assert np.array_equal(got.labels, labels)
+    assert got.centers.tobytes() == centers.tobytes()
+    assert got.wcss.hex() == wcss.hex()
+
+
+@st.composite
+def xmeans_instances(draw):
+    """Points and an X-means config with k_min < k_max, so splits are tried, accepted and capped.
+
+    Half the draws are Gaussian blobs. The other half place copies of one
+    quarter-degree lattice motif, two piles of 2 or 4 points each about
+    their centres, at whole 10-degree steps: the means of piles and copies
+    are exact, so the copies' split gains tie bit for bit whenever their
+    splits agree, and a cap below the copy count must take the lowest
+    cluster ids.
+    """
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        blobs = draw(st.integers(1, 5))
+        centres = np.column_stack((rng.uniform(6.0, 6.6, blobs), rng.uniform(-75.8, -75.2, blobs)))
+        sizes = rng.integers(3, 25, blobs)
+        sigma = draw(st.sampled_from([0.005, 0.02, 0.05]))
+        x = np.concatenate([c + rng.normal(0.0, sigma, (m, 2)) for c, m in zip(centres, sizes)])
+    else:
+        cells = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(lambda c: np.array(c) / 4.0)
+        piles = draw(st.lists(cells, min_size=2, max_size=2, unique_by=tuple))
+        size = draw(st.integers(1, 2))
+        spreads = draw(st.lists(st.lists(cells, min_size=size, max_size=size), min_size=2, max_size=2))
+        motif = [p + sign * d for p, ds in zip(piles, spreads) for d in ds for sign in (1, -1)]
+        copies = draw(st.integers(2, 4))
+        x = np.array([m + (10.0 * i, 0.0) for i in range(copies) for m in motif])
+    k_min = draw(st.integers(1, min(4, len(x) - 1)))
+    k_max = draw(st.integers(k_min + 1, min(k_min + 4, len(x))))
+    inner = KMeansConfig(
+        k=1,
+        max_iterations=draw(st.sampled_from([2, 100])),
+        tolerance=draw(st.sampled_from([0.0, 1e-7])),
+        seed=draw(st.integers(0, 2**16)),
+        restarts=draw(st.integers(1, 3)),
+    )
+    return x, XMeansConfig(k_min=k_min, k_max=k_max, inner=inner)
+
+
+TIED_MOTIF = [(0.25, 0.25), (-0.25, -0.25), (0.25, 2.25), (-0.25, 1.75)]
+TIED_COPIES = np.array([(lat + 10.0 * i, lon) for i in range(2) for lat, lon in TIED_MOTIF])
+
+
+@settings(max_examples=120, deadline=None)
+@given(xmeans_instances())
+# Two copies of one motif whose split gains tie, with room for one split.
+@example((TIED_COPIES, XMeansConfig(k_min=2, k_max=3, inner=KMeansConfig(k=1, seed=0, restarts=2))))
+def test_xmeans_equals_frozen_reference(instance):
+    # The split seeds, the BIC gains, the cap and its tie-break, and the
+    # polish all feed the labels, so they must match the reference exactly.
+    x, cfg = instance
+    got = xmeans(x, cfg)
+    inner = cfg.inner
+    labels, centers, wcss = reference.xmeans(
+        x, cfg.k_min, cfg.k_max, inner.seed, inner.restarts, inner.max_iterations, inner.tolerance
+    )
     assert np.array_equal(got.labels, labels)
     assert got.centers.tobytes() == centers.tobytes()
     assert got.wcss.hex() == wcss.hex()
@@ -468,6 +529,16 @@ class TestDbscan:
         points = [GeoPoint(lat, lon) for lat, lon in zip(rng.uniform(6.0, 6.3, 60), rng.uniform(-75.8, -75.5, 60))]
         labels = self.assert_oracle(points, 3.0, 1)
         assert NOISE not in labels
+
+    @pytest.mark.parametrize("eps", [20_016.0, 4e4, 1e7, 1e308, math.inf])
+    def test_eps_beyond_half_the_circumference(self, eps):
+        # Any two points are within pi R (20,015.1 km): such an eps reaches every point, in bounded time.
+        rng = np.random.default_rng(3)
+        points = [GeoPoint(lat, lon) for lat, lon in zip(rng.uniform(-90, 90, 200), rng.uniform(-180, 180, 200))]
+        start = time.perf_counter()
+        labels = self.assert_oracle(points, eps, 5)
+        assert time.perf_counter() - start < 1.0
+        assert labels.tolist() == [0] * 200
 
     def test_tiny_eps_rejected(self):
         with pytest.raises(ConfigError):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from geozones.corpus import (
     DEFAULT_STUDY_AREA,
+    KEYWORD_MODES,
     BoundingBox,
     CorpusRecord,
     KeywordQuery,
@@ -97,7 +98,31 @@ class TestFilterKeywords:
         assert list(filter_keywords(columns(records), KeywordQuery(terms=("fiesta",)))) == records
 
     def test_empty_input(self):
-        assert list(filter_keywords(columns([]), KeywordQuery(terms=("x",)))) == []
+        kept = filter_keywords(columns([]), KeywordQuery(terms=("x", "y")))
+        assert list(kept) == []
+        assert kept.hits.shape == (0, 2)
+
+    @pytest.mark.parametrize("mode", KEYWORD_MODES)
+    def test_hits_per_term_folded_in_query_order(self, mode):
+        texts = ["fiesta grande", "en MEDELLIN", "nada", "Fiesta en Medellín"]
+        records = [record(6.2, -75.5, text=text) for text in texts]
+        kept = filter_keywords(columns(records), KeywordQuery(terms=("Medellín", "Fiesta", "4sq.com"), mode=mode))
+        hits = [[False, True, False], [True, False, False], [True, True, False]]
+        if mode == "any":
+            assert (list(kept), kept.hits.tolist()) == ([records[0], records[1], records[3]], hits)
+        else:
+            assert (list(kept), kept.hits.shape) == ([], (0, 3))
+
+    def test_normalize_records_no_hits(self):
+        doc = StoredDocument("photo", {"geo": {"latitude": 6.1, "longitude": -75.3, "accuracy": 6}, "name": "x"}, 0)
+        assert normalize([doc]).hits.shape == (1, 0)
+
+    def test_hits_follow_the_rows_through_bbox_and_dedupe(self):
+        records = [record(6.2, -75.5, text="fiesta"), record(40.0, -75.5, text="medellin")]
+        records.append(records[0])
+        kept = filter_keywords(columns(records), KeywordQuery(terms=("Medellín", "Fiesta")))
+        inside, purged = filter_bbox(kept, DEFAULT_STUDY_AREA)
+        assert (purged.hits.tolist(), dedupe(inside).hits.tolist()) == ([[True, False]], [[False, True]])
 
     def test_any_vs_all_modes(self):
         records = [
@@ -311,6 +336,11 @@ class TestBuildCorpusReference:
         expected, expected_purged = reference.corpus({"tweet": tweets, "photo": photos}, query, BOX)
         assert list(kept) == expected
         assert list(purged) == expected_purged
+        # Each row's hits are the folded substring test of every query term, in query order.
+        terms = [reference.fold_text(term) for term in query.terms]
+        for rows, want in ((kept, expected), (purged, expected_purged)):
+            assert rows.hits.shape == (len(want), len(terms))
+            assert rows.hits.tolist() == [[term in reference.fold_text(r.text) for term in terms] for r in want]
         assert kept.x.dtype == np.float64 and kept.x.shape == (len(expected), 2)
         assert kept.x.tolist() == [[r.position.lat_deg, r.position.lon_deg] for r in expected]
 

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geozones import export
-from geozones.corpus import CorpusRecord
+from geozones.corpus import CorpusRecord, KeywordQuery, filter_keywords
 from geozones.coverage import CoverageSummary, coverage_circle
 from geozones.errors import StorageError
-from geozones.export import export_geojson, top_terms, write_geojson
+from geozones.export import export_geojson, write_geojson
 from geozones.geo import GeoPoint
 
 from . import reference
@@ -19,6 +19,7 @@ from .conftest import columns
 from .geojson_schema import validate_geojson
 
 CLUSTER2_CENTROID = GeoPoint(6.241243759319632, -75.57945209898037)
+TERMS = ("Medellín", "Fiesta", "4sq.com")
 
 
 def summary_for(cid, centroid, distant, radius):
@@ -30,7 +31,7 @@ def summary_for(cid, centroid, distant, radius):
     )
 
 
-def make_outputs():
+def make_outputs(terms=()):
     s0 = summary_for(0, GeoPoint(6.15, -75.35), GeoPoint(6.16, -75.35), 1.2)
     s1 = summary_for(1, CLUSTER2_CENTROID, GeoPoint(6.273949, -75.57941), 3.622)
     zones = [(s, coverage_circle(s.point_of_means, s.radius_km, vertex_count=16)) for s in (s0, s1)]
@@ -40,7 +41,8 @@ def make_outputs():
             CorpusRecord(GeoPoint(6.16, -75.35), "gran fiesta", "tweet", 0),
             CorpusRecord(GeoPoint(6.24, -75.58), "I'm at 4sq.com/x", "tweet", 1),
             CorpusRecord(GeoPoint(6.15, -75.34), "medellin", "photo", 2),
-        ]
+        ],
+        terms,
     )
     return zones, labels, members
 
@@ -70,8 +72,8 @@ class TestExportGeojson:
         ]
 
     def test_counts_and_terms_properties(self):
-        zones, labels, members = make_outputs()
-        doc = export_geojson(zones, labels, members, query_terms=("Medellín", "Fiesta", "4sq.com"))
+        zones, labels, members = make_outputs(TERMS)
+        doc = export_geojson(zones, labels, members, query_terms=TERMS)
         props0 = doc["features"][0]["properties"]
         props1 = doc["features"][1]["properties"]
         assert props0["member_count"] == 2
@@ -79,6 +81,35 @@ class TestExportGeojson:
         assert props0["top_terms"] == ["Fiesta", "Medellín"]
         assert props1["top_terms"] == ["4sq.com"]
         assert props1["radius_km"] == 3.622
+
+    def test_top_terms_folded_from_the_keyword_filter_and_alphabetical(self):
+        # The hits come from the one matcher; the zone names each term once, sorted.
+        texts = ["fiesta grande", "en MEDELLIN", "FIESTA"]
+        records = [CorpusRecord(GeoPoint(6.2, -75.5), text, "tweet", i) for i, text in enumerate(texts)]
+        members = filter_keywords(columns(records), KeywordQuery(terms=TERMS))
+        zone = summary_for(0, GeoPoint(6.2, -75.5), GeoPoint(6.2, -75.5), 0.0)
+        doc = export_geojson([(zone, [zone.point_of_means] * 4)], [0, 0, 0], members, query_terms=TERMS)
+        assert doc["features"][0]["properties"]["top_terms"] == ["Fiesta", "Medellín"]
+        assert doc["features"][0]["properties"]["member_count"] == 3
+
+    def test_top_terms_empty_when_no_member_holds_a_term(self):
+        members = columns([CorpusRecord(GeoPoint(6.2, -75.5), "nada", "tweet", 0)], ("Fiesta",))
+        zone = summary_for(0, GeoPoint(6.2, -75.5), GeoPoint(6.2, -75.5), 0.0)
+        doc = export_geojson([(zone, [zone.point_of_means] * 4)], [0], members, query_terms=("Fiesta",))
+        assert doc["features"][0]["properties"]["top_terms"] == []
+        assert doc["features"][0]["properties"]["member_count"] == 1
+
+    def test_zone_without_members(self):
+        zones, labels, members = make_outputs(TERMS)
+        doc = export_geojson(zones, np.zeros_like(labels), members, query_terms=TERMS)
+        props1 = doc["features"][1]["properties"]
+        assert (props1["member_count"], props1["top_terms"]) == (0, [])
+
+    @pytest.mark.parametrize("terms, query_terms", [((), TERMS), (TERMS, ()), (TERMS, TERMS[:2])])
+    def test_hits_width_other_than_query_terms_rejected(self, terms, query_terms):
+        zones, labels, members = make_outputs(terms)
+        with pytest.raises(ValueError, match=f"hits cover {len(terms)} query terms, got {len(query_terms)}"):
+            export_geojson(zones, labels, members, query_terms=query_terms)
 
     def test_no_clusters(self):
         doc = export_geojson([], [], columns([]))
@@ -200,19 +231,8 @@ class TestExportReference:
     )
     def test_equals_reference_bytes(self, zones, members, include_members, query_terms):
         labels = np.array([cid for cid, _ in members], dtype=np.intp)
-        rows = columns([record for _, record in members])
+        rows = columns([record for _, record in members], query_terms)
         doc = export_geojson(zones, labels, rows, include_members=include_members, query_terms=query_terms)
         expected = reference.export_geojson(zones, members, include_members=include_members, query_terms=query_terms)
         assert json.dumps(doc, ensure_ascii=False, indent=2) == json.dumps(expected, ensure_ascii=False, indent=2)
 
-
-class TestTopTerms:
-    def test_alphabetical_and_folded(self):
-        texts = ["fiesta grande", "en MEDELLIN"]
-        assert top_terms(texts, ("Medellín", "Fiesta", "4sq.com")) == ["Fiesta", "Medellín"]
-
-    def test_no_terms_present(self):
-        assert top_terms(["nada"], ("Fiesta",)) == []
-
-    def test_empty_members(self):
-        assert top_terms([], ("Fiesta",)) == []

@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import sys
 
 import pytest
 
@@ -273,6 +274,27 @@ class TestIngestWork:
         assert runs == [["file", "dir"], ["file"]]
 
 
+class TestFoldWork:
+    """Counted work: the texts one pipeline run folds. The keyword filter is the one matcher."""
+
+    def test_one_fold_per_located_row_and_query_term(self, tmp_path, monkeypatch):
+        points = ten_blob_store(tmp_path / "store")
+        cfg = pipeline_config(tmp_path / "store", output_path=str(tmp_path / "zones.geojson"), include_members=True)
+        fold, folded = corpus.fold_text, []
+
+        def counting_fold(text):
+            folded.append(text)
+            return fold(text)
+
+        # Every binding of the fold in the package, so a copy imported by name elsewhere counts too.
+        for module in [m for name, m in sys.modules.items() if name.partition(".")[0] == "geozones"]:
+            if getattr(module, "fold_text", None) is fold:
+                monkeypatch.setattr(module, "fold_text", counting_fold)
+        result = run_pipeline(cfg)
+        assert len(result.records) > 0 and (tmp_path / "zones.geojson").exists()
+        assert len(folded) <= len(points) + len(cfg.keywords.terms)
+
+
 class TestCliMain:
     def _ingest_blobs(self, tmp_path):
         src = tmp_path / "in"
@@ -357,6 +379,12 @@ class TestCliMain:
         assert main(["pipeline", "--store", str(store), "--min-pts", "3"]) == EXIT_OK
         assert sorted(tmp_path.rglob("*")) == before
         assert capsys.readouterr().err == ""
+
+    def test_eps_beyond_the_earth(self, tmp_path, capsys):
+        # An eps past half the Earth's circumference puts every point in reach of every other.
+        store = self._ingest_blobs(tmp_path)
+        assert main(["pipeline", "--store", str(store), "--eps-km", "1e308"]) == EXIT_OK
+        assert "Cluster centers : 10 centers" in capsys.readouterr().out
 
     def test_empty_corpus_exit_code(self, tmp_path, capsys):
         DocumentStore(tmp_path / "store").close()
@@ -477,8 +505,8 @@ class TestCliMain:
 
     @pytest.mark.parametrize(
         "value",
-        ["abc", "-1", "1_000", " 7 ", "+3", "\u0663"],
-        ids=["letters", "negative", "underscore", "spaces", "plus", "arabic-indic-three"],
+        ["abc", "-1", "1_000", " 7 ", "+3", "\u0663", "7" * 5000],
+        ids=["letters", "negative", "underscore", "spaces", "plus", "arabic-indic-three", "past-int-digit-limit"],
     )
     def test_bad_zone_seed_exit_code(self, tmp_path, capsys, monkeypatch, value):
         DocumentStore(tmp_path / "store").close()  # an accepted seed would reach exit 2
