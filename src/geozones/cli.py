@@ -10,7 +10,7 @@ from dataclasses import astuple
 from .clustering import DbscanConfig, KMeansConfig, XMeansConfig
 from .corpus import DEFAULT_KEYWORDS, DEFAULT_STUDY_AREA, KEYWORD_MODES, BoundingBox, KeywordQuery
 from .errors import EmptyCorpusError, ZoneError
-from .ingest import ReplaySummary, replay_source
+from .ingest import ReplaySummary, _echo, replay_source
 from .pipeline import PipelineConfig, run_pipeline
 from .store import DocumentStore, StoreStats, photo_body, tweet_body
 
@@ -24,7 +24,7 @@ def _seed_from_env(args) -> int:
     if env is None:
         return args.seed
     if not (env.isascii() and env.isdigit()):
-        raise ZoneError(f"ZONE_SEED must be a non-negative decimal integer, got {env!r}")
+        raise ZoneError(f"ZONE_SEED must be a non-negative decimal integer, got {_echo(env)}")
     try:
         return int(env)
     except ValueError as exc:  # more digits than int() converts

@@ -93,10 +93,6 @@ class Labeling:
     def n_clusters(self) -> int:
         return len(self.centers)
 
-    def members(self, cluster_id: int) -> np.ndarray:
-        """Indices of the points assigned to one cluster."""
-        return np.flatnonzero(self.labels == cluster_id)
-
 
 def points_array(points: Sequence[GeoPoint] | np.ndarray) -> np.ndarray:
     """(n, 2) float64 array of (lat, lon) rows.

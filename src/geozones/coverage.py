@@ -34,15 +34,12 @@ class CoverageSummary:
         return self.point_of_means
 
 
-def point_of_means(members: Sequence[GeoPoint]) -> GeoPoint:
-    """Coordinate mean of a non-empty point set (compensated summation)."""
+def point_of_means(members: Sequence[GeoPoint] | Sequence[Sequence[float]]) -> GeoPoint:
+    """Coordinate mean of a non-empty set of points or (lat, lon) rows (compensated summation)."""
     if len(members) == 0:
         raise ValueError("point of means of an empty cluster is undefined")
-    n = len(members)
-    return GeoPoint(
-        math.fsum(p.lat_deg for p in members) / n,
-        math.fsum(p.lon_deg for p in members) / n,
-    )
+    lats, lons = zip(*members)
+    return GeoPoint(math.fsum(lats) / len(members), math.fsum(lons) / len(members))
 
 
 def coverage_circle(
@@ -77,15 +74,12 @@ def summarize(labeling: Labeling, points: Sequence[GeoPoint] | np.ndarray) -> li
         raise ValueError(f"labeling covers {len(labeling.labels)} points, got {len(x)}")
     summaries = []
     for cid in range(labeling.n_clusters):
-        members = [GeoPoint(lat, lon) for lat, lon in x[labeling.members(cid)].tolist()]
-        if not members:
+        rows = x[labeling.labels == cid].tolist()
+        if not rows:
             continue
-        mean = point_of_means(members)
-        distances = [haversine_distance(mean, m) for m in members]
+        mean = point_of_means(rows)
+        origin = tuple(mean)
+        distances = [haversine_distance(origin, row) for row in rows]
         far = distances.index(max(distances))
-        summaries.append(
-            CoverageSummary(
-                cluster_id=cid, point_of_means=mean, distant_point=members[far], radius_km=distances[far]
-            )
-        )
+        summaries.append(CoverageSummary(cid, mean, GeoPoint(*rows[far]), distances[far]))
     return summaries

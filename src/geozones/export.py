@@ -22,10 +22,6 @@ from .errors import StorageError
 from .geo import GeoPoint
 
 
-def _position(point: GeoPoint) -> list[float]:
-    return [point.lon_deg, point.lat_deg]
-
-
 def _feature(geometry_type: str, coordinates: list, properties: dict) -> dict:
     return {
         "type": "Feature",
@@ -62,10 +58,11 @@ def export_geojson(
             "member_count": len(held),
             "top_terms": sorted({term for term, found in zip(query_terms, held.any(axis=0).tolist()) if found}),
         }
-        features.append(_feature("Point", _position(summary.point_of_means), properties))
+        lat, lon = summary.point_of_means
+        features.append(_feature("Point", [lon, lat], properties))
     for summary, ring in zones:
         properties = {"cluster_id": summary.cluster_id, "radius_km": summary.radius_km}
-        features.append(_feature("Polygon", [[_position(vertex) for vertex in ring]], properties))
+        features.append(_feature("Polygon", [[[lon, lat] for lat, lon in ring]], properties))
     if include_members:
         for cid, (lat, lon), text in zip(labels.tolist(), members.x.tolist(), members.text.tolist()):
             features.append(_feature("Point", [lon, lat], {"cluster_id": cid, "text": text}))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -41,19 +42,24 @@ class GeoPoint:
         if not -180.0 <= self.lon_deg <= 180.0:
             raise CoordinateError(f"longitude {self.lon_deg} outside [-180, 180]")
 
+    def __iter__(self):
+        """Unpacks as ``lat, lon = point``, the shape of a (lat, lon) row."""
+        return iter((self.lat_deg, self.lon_deg))
 
-def haversine_distance(a: GeoPoint, b: GeoPoint) -> DistanceKm:
+
+def haversine_distance(a: GeoPoint | Sequence[float], b: GeoPoint | Sequence[float]) -> DistanceKm:
     """Great-circle distance between two points, in kilometers.
 
-    Uses d = 2 * R * arcsin(sqrt(h)) with
+    A point is a ``GeoPoint`` or a (lat, lon) pair. Uses d = 2 * R * arcsin(sqrt(h)) with
     h = sin^2(dlat/2) + cos(lat_a) * cos(lat_b) * sin^2(dlon/2).
     The sqrt(h) argument is clamped into [0, 1] so antipodal or
     nearly-identical points cannot produce NaN through float overshoot.
     """
-    lat1 = a.lat_deg * _DEG_TO_RAD
-    lat2 = b.lat_deg * _DEG_TO_RAD
-    dlat = (b.lat_deg - a.lat_deg) * _DEG_TO_RAD
-    dlon = (b.lon_deg - a.lon_deg) * _DEG_TO_RAD
+    (lat_a, lon_a), (lat_b, lon_b) = a, b
+    lat1 = lat_a * _DEG_TO_RAD
+    lat2 = lat_b * _DEG_TO_RAD
+    dlat = (lat_b - lat_a) * _DEG_TO_RAD
+    dlon = (lon_b - lon_a) * _DEG_TO_RAD
     h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(max(0.0, h))))
 

@@ -3,13 +3,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geozones.clustering import NOISE, DbscanConfig, KMeansConfig, Labeling, dbscan, kmeans, points_array
+from geozones.clustering import (
+    NOISE,
+    DbscanConfig,
+    KMeansConfig,
+    Labeling,
+    XMeansConfig,
+    dbscan,
+    kmeans,
+    points_array,
+    xmeans,
+)
 from geozones.coverage import coverage_circle, point_of_means, summarize
 from geozones.errors import ConfigError, CoordinateError
 from geozones.geo import GeoPoint, haversine_distance
 
 from . import reference
-from .conftest import make_blobs
+from .conftest import make_blobs, sample_centers_in_box
 from .oracles import kahan_mean, slc_distance_km
 
 
@@ -61,6 +71,12 @@ class TestPointOfMeans:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             point_of_means([])
+
+    def test_points_rows_and_array_agree(self):
+        rng = np.random.default_rng(13)
+        points = [GeoPoint(6 + a, -75 + b) for a, b in rng.normal(0, 0.1, (300, 2))]
+        x = points_array(points)
+        assert point_of_means(points) == point_of_means(x.tolist()) == point_of_means(x)
 
 
 class TestCoverageRadius:
@@ -201,7 +217,7 @@ class TestSummarize:
         summaries = summarize(labeling, points)
         assert len(summaries) == 10
         for s in summaries:
-            members = [points[i] for i in labeling.members(s.cluster_id)]
+            members = [points[i] for i in np.flatnonzero(labeling.labels == s.cluster_id)]
             mean = GeoPoint(
                 kahan_mean(p.lat_deg for p in members),
                 kahan_mean(p.lon_deg for p in members),
@@ -223,6 +239,26 @@ class TestSummarize:
         labeling = kmeans(points, KMeansConfig(k=1))
         with pytest.raises(ValueError):
             summarize(labeling, points[:1])
+
+
+class TestSummarizeWork:
+    """Counted work: summarize reads member rows as floats and builds points only per cluster."""
+
+    POINTS_PER_CLUSTER = 2  # the point of means and the farthest member
+
+    def test_points_built_per_cluster(self, monkeypatch):
+        x = points_array(make_blobs(sample_centers_in_box(10, seed=42), sigma=0.01, n_per=40, seed=7))
+        labeling = xmeans(x, XMeansConfig(k_min=10, k_max=10))
+        post_init, built = GeoPoint.__post_init__, []
+
+        def counting_post_init(point):
+            built.append(point)
+            post_init(point)
+
+        monkeypatch.setattr(GeoPoint, "__post_init__", counting_post_init)
+        summaries = summarize(labeling, x)
+        assert len(summaries) == 10
+        assert len(built) <= self.POINTS_PER_CLUSTER * len(summaries)
 
 
 def labeled(groups, noise=()):

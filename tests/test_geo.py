@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geozones.errors import CoordinateError
@@ -39,6 +39,10 @@ class TestGeoPoint:
         GeoPoint(90.0, 180.0)
         GeoPoint(-90.0, -180.0)
 
+    def test_unpacks_as_lat_lon(self):
+        lat, lon = GeoPoint(6.2412, -75.5795)
+        assert (lat, lon) == (6.2412, -75.5795)
+
 
 class TestHaversineDistance:
     def test_reference_cluster_radius(self):
@@ -59,6 +63,15 @@ class TestHaversineDistance:
     def test_half_great_circle(self):
         d = haversine_distance(GeoPoint(0, 0), GeoPoint(0, 180))
         assert d == pytest.approx(math.pi * EARTH_RADIUS_KM, rel=1e-12)
+
+    @given(a=geopoints, b=geopoints)
+    @example(a=GeoPoint(6.2412, -75.5795), b=GeoPoint(6.2412, -75.5795))
+    @example(a=GeoPoint(0.0, 0.0), b=GeoPoint(0.0, 180.0))
+    @example(a=GeoPoint(-90.0, 0.0), b=GeoPoint(90.0, 0.0))
+    def test_pairs_equal_points_bit_for_bit(self, a, b):
+        # A (lat, lon) tuple and a list row take the same float operations as the points.
+        got = haversine_distance((a.lat_deg, a.lon_deg), [b.lat_deg, b.lon_deg])
+        assert got.hex() == haversine_distance(a, b).hex()
 
     @given(a=geopoints, b=geopoints)
     def test_symmetry(self, a, b):
