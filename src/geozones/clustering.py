@@ -131,7 +131,7 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]), dtype=np.float64)
     centers[0] = x[rng.integers(n)]
-    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    d2 = _sq_distances(x, centers[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -139,7 +139,7 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = rng.integers(n)  # all remaining mass covered; any point works
         centers[j] = x[idx]
-        d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_distances(x, centers[j : j + 1])[:, 0])
     return centers
 
 
@@ -432,15 +432,18 @@ def _box(p: np.ndarray) -> np.ndarray:
 def _touch(x: np.ndarray, p: np.ndarray, q: np.ndarray, eps_km: float, limit: float) -> bool:
     """Whether some point of ``p`` lies within eps of some point of ``q``.
 
-    Small pairs are one haversine block. Otherwise the larger set is halved
-    at the median of its wider side; a half whose box has an h floor above
-    ``limit`` against the other set's box is dropped, and the nearer half
-    is searched first, so the search stops at the first pair within eps.
+    One probe row, the larger set's first point against the other set,
+    comes first, and a hit ends the test. Otherwise small pairs are one
+    haversine block; larger ones halve the larger set at the median of its
+    wider side, drop a half whose box has an h floor above ``limit`` against
+    the other set's box, and search the nearer half first.
     """
-    if p.size * q.size <= _BLOCK:
-        return bool((haversine_to_many(x[p], x[q, 0], x[q, 1]) <= eps_km).any())
     if p.size < q.size:
         p, q = q, p  # the distance is symmetric
+    if q.size > 1 and (haversine_to_many(x[p[:1]], x[q, 0], x[q, 1]) <= eps_km).any():
+        return True
+    if p.size * q.size <= _BLOCK:
+        return bool((haversine_to_many(x[p], x[q, 0], x[q, 1]) <= eps_km).any())
     box_q = _box(x[q])
     axis = int(np.ptp(x[p, 1]) > np.ptp(x[p, 0]))
     split = np.argpartition(x[p, axis], p.size // 2)

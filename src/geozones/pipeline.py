@@ -42,7 +42,7 @@ class PipelineConfig:
     vertex_count: int = DEFAULT_VERTEX_COUNT
     output_path: str | None = None
     include_members: bool = False
-    # Has no effect: DBSCAN runs serially. Kept so existing callers still construct.
+    # Has no effect: the whole pipeline runs serially. Kept so existing callers still construct.
     workers: int = 1
 
     def __post_init__(self):

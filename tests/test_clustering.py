@@ -1,5 +1,6 @@
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from geozones.clustering import (
     _bic,
     _grid,
     _lloyd,
+    _reach_rad,
     _sq_distances,
+    _touch,
     dbscan,
     format_cluster_report,
     kmeans,
@@ -572,8 +575,56 @@ class TestDbscan:
         assert self.assert_oracle(points, eps, 4).tolist() == [0, 0, 0, 0]
 
 
+@st.composite
+def touch_instances(draw):
+    """Two disks of 1-300 points each, the gap between the disks drawn around eps, rows shuffled."""
+    eps = draw(st.sampled_from([0.5, 5.0, 50.0]))
+    sizes = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    radii = eps * draw(st.floats(0.0, 2.0)), eps * draw(st.floats(0.0, 2.0))
+    gap = eps * draw(st.floats(0.5, 1.5))
+    lat0, lon0, bearing = draw(st.floats(-70, 70)), draw(st.floats(-170, 170)), draw(st.floats(0, 2 * math.pi))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for centre_km, size, radius in zip((0.0, radii[0] + radii[1] + gap), sizes, radii):
+        angle, r = rng.uniform(0, 2 * math.pi, size), radius * np.sqrt(rng.uniform(0, 1, size))
+        north = centre_km * math.cos(bearing) + r * np.cos(angle)
+        east = centre_km * math.sin(bearing) + r * np.sin(angle)
+        rows.append(np.c_[lat0 + north / KM_PER_DEG, lon0 + east / (KM_PER_DEG * math.cos(math.radians(lat0)))])
+    order = rng.permutation(sizes[0] + sizes[1])
+    x = np.concatenate(rows)[order]
+    return x, np.flatnonzero(order < sizes[0]), np.flatnonzero(order >= sizes[0]), eps, draw(st.sampled_from([7, None]))
+
+
+class TestTouch:
+    """The core-pair test of the union-find equals the any() of the full eps block, either way round."""
+
+    @staticmethod
+    def assert_block_any(x, p, q, eps, block=None):
+        limit = math.sin(_reach_rad(eps) / 2.0) ** 2
+        expected = bool((haversine_to_many(x[p], x[q, 0], x[q, 1]) <= eps).any())
+        with mock.patch.object(clustering, "_BLOCK", block or clustering._BLOCK):
+            assert _touch(x, p, q, eps, limit) == expected
+            assert _touch(x, q, p, eps, limit) == expected
+        return expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(touch_instances())
+    def test_equals_the_full_block(self, instance):
+        self.assert_block_any(*instance)
+
+    @pytest.mark.parametrize("block", [7, None])
+    def test_probe_row_misses_and_the_last_point_touches(self, block):
+        # The larger set walks in along a meridian: its first point, the probe
+        # row, is 20 km from every point of the smaller set, its last 4.5 km.
+        q_km, p_km = [0.0, 0.1, 0.2], [-20.0, -15.0, -10.0, -7.0, -4.5]
+        x = np.array([(6.2 + km / KM_PER_DEG, -75.5) for km in q_km + p_km])
+        q, p = np.arange(3), np.arange(3, 8)
+        assert (haversine_to_many(x[p[:1]], x[q, 0], x[q, 1]) > 19.0).all()
+        assert self.assert_block_any(x, p, q, 5.0, block)
+
+
 class TestDbscanWork:
-    """Counted work: the number of ``haversine_to_many`` calls, which wall-time noise does not move."""
+    """Counted work: ``haversine_to_many`` calls and the distances they compute, which wall-time noise does not move."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -599,6 +650,30 @@ class TestDbscanWork:
         points = make_blobs(sample_centers_in_box(10, seed=42), sigma=0.01, n_per=60, seed=7)
         dbscan(points, DbscanConfig(eps_km=5.0, min_pts=5))
         assert calls[0] <= 70  # measured when the border labels moved into the count pass
+
+    @pytest.fixture
+    def distances(self, monkeypatch):
+        count = [0]
+
+        def counted(*args):
+            block = haversine_to_many(*args)
+            count[0] += block.size
+            return block
+
+        monkeypatch.setattr(clustering, "haversine_to_many", counted)
+        return count
+
+    @pytest.mark.parametrize("n_per, n_uniform, bound", [(60, 0, 4_173), (600, 600, 158_685)])
+    def test_criterion_3_blobs_distance_bound(self, distances, n_per, n_uniform, bound):
+        # The union-find's core-pair test probes one row before the full block.
+        from .conftest import sample_centers_in_box
+
+        points = make_blobs(sample_centers_in_box(10, seed=42), sigma=0.01, n_per=n_per, seed=7)
+        rng = np.random.default_rng(9)
+        lats, lons = rng.uniform(5.90, 6.60, n_uniform), rng.uniform(-75.80, -75.10, n_uniform)
+        points += [GeoPoint(lat, lon) for lat, lon in zip(lats, lons)]
+        dbscan(points, DbscanConfig(eps_km=5.0, min_pts=5))
+        assert distances[0] <= bound  # measured with the probe row
 
 
 class TestClusterReport:
