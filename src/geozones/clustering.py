@@ -116,9 +116,26 @@ def _derived_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
 
-def _sq_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, k) squared Euclidean distances in degree space, one column at a time."""
-    return (x[:, 0, None] - centers[:, 0]) ** 2 + (x[:, 1, None] - centers[:, 1]) ** 2
+def _sq_distances(cols: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(k, m) squared Euclidean distances in degree space from (2, m) columns of points."""
+    return (cols[0] - centers[:, 0, None]) ** 2 + (cols[1] - centers[:, 1, None]) ** 2
+
+
+def _assign(cols: np.ndarray, centers: np.ndarray):
+    """The (k, m) distance matrix of one pass and each column's nearest center, lowest index on ties."""
+    d2 = _sq_distances(cols, centers)
+    return d2, d2.argmin(axis=0)
+
+
+def _bounds(d2: np.ndarray, labels: np.ndarray):
+    """Each column's distance to its own center and to the nearest other one (inf when k = 1).
+
+    Overwrites the own-center entries of ``d2``.
+    """
+    idx = np.arange(labels.size)
+    own = d2[labels, idx]
+    d2[labels, idx] = np.inf
+    return np.sqrt(own), np.sqrt(d2.min(axis=0))
 
 
 def _wcss(x: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
@@ -129,9 +146,10 @@ def _wcss(x: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: D^2-weighted draws after a uniform first center."""
     n = x.shape[0]
+    cols = np.ascontiguousarray(x.T)
     centers = np.empty((k, x.shape[1]), dtype=np.float64)
     centers[0] = x[rng.integers(n)]
-    d2 = _sq_distances(x, centers[:1])[:, 0]
+    d2 = _sq_distances(cols, centers[:1])[0]
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -139,18 +157,19 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = rng.integers(n)  # all remaining mass covered; any point works
         centers[j] = x[idx]
-        d2 = np.minimum(d2, _sq_distances(x, centers[j : j + 1])[:, 0])
+        d2 = np.minimum(d2, _sq_distances(cols, centers[j : j + 1])[0])
     return centers
 
 
-def _means_by_label(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+def _means_by_label(cols: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(k, 2) member means from (2, n) columns and the label counts; 0 for an empty label."""
     # bincount sums each column in index order, as np.add.at does, so the bits match.
-    sums = [np.bincount(labels, weights=x[:, d], minlength=k) for d in range(x.shape[1])]
-    means = np.stack(sums, axis=1).astype(np.float64, copy=False)  # no labels gives int64
-    counts = np.bincount(labels, minlength=k).astype(np.float64)
-    nonzero = counts > 0
-    means[nonzero] /= counts[nonzero, None]
-    return means, counts
+    sums = np.array([np.bincount(labels, weights=c, minlength=counts.size) for c in cols])
+    return (sums / np.maximum(counts, 1)).T
+
+
+# Relative slack on Hamerly's bounds, far above the few-ulp error of a computed distance.
+_SLACK = 1e-9
 
 
 def _lloyd(
@@ -165,34 +184,53 @@ def _lloyd(
     (assignments unchanged) or when the largest centroid displacement drops
     to ``tolerance``. A centroid that loses all points is re-seeded at the
     point farthest from its nearest centroid, keeping k constant.
+
+    Each point carries Hamerly's bounds (SDM 2010): ``upper`` on its
+    distance to its own center and ``lower`` on its distance to every other
+    one. A pass computes distance rows only for the points with
+    ``upper >= lower``. For any other point the two bounds, each loosened
+    by ``_SLACK``, prove that the full row's argmin is its kept label and
+    is unique, so the labels equal a full pass's bit for bit.
     """
     centers = init_centers.astype(np.float64, copy=True)
-    k = centers.shape[0]
+    k, n = centers.shape[0], x.shape[0]
+    cols = np.ascontiguousarray(x.T)
+    labels, upper, lower = np.zeros(n, dtype=np.intp), np.empty(n), np.empty(n)
+    check = slice(None)  # the first pass computes every row
     prev_labels = None
-    labels = None
     for _ in range(max_iterations):
-        d2 = _sq_distances(x, centers)
-        labels = d2.argmin(axis=1)  # argmin takes the lowest index on ties
-        # Re-seed any emptied cluster at the worst-served point.
-        for _attempt in range(k):
+        d2, assigned = _assign(cols[:, check], centers)
+        labels = labels.copy()  # prev_labels keeps the last pass's
+        labels[check] = assigned
+        counts = np.bincount(labels, minlength=k)
+        if not counts.all():
+            # Re-seed an emptied cluster at the worst-served point, from full rows.
+            check = slice(None)
+            d2, labels = _assign(cols, centers)
+            for _attempt in range(k):
+                counts = np.bincount(labels, minlength=k)
+                empties = np.flatnonzero(counts == 0)
+                if empties.size == 0:
+                    break
+                centers[empties[0]] = x[d2.min(axis=0).argmax()]
+                d2, labels = _assign(cols, centers)
             counts = np.bincount(labels, minlength=k)
-            empties = np.flatnonzero(counts == 0)
-            if empties.size == 0:
-                break
-            farthest = d2[np.arange(x.shape[0]), labels].argmax()
-            centers[empties[0]] = x[farthest]
-            d2 = _sq_distances(x, centers)
-            labels = d2.argmin(axis=1)
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             break  # fixed point: centers are already the means of labels
         prev_labels = labels
-        new_centers, counts = _means_by_label(x, labels, k)
-        still_empty = counts == 0  # only possible when duplicates defeat re-seeding
-        new_centers[still_empty] = centers[still_empty]
-        shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
+        upper[check], lower[check] = _bounds(d2, labels[check])
+        new_centers = _means_by_label(cols, labels, counts)
+        if not counts.all():  # only possible when duplicates defeat re-seeding
+            new_centers[counts == 0] = centers[counts == 0]
+        moved = np.sqrt(((new_centers - centers) ** 2).sum(axis=1))
+        shift = float(moved.max())
         centers = new_centers
         if shift <= tolerance:
             break
+        # Slack goes on each term before the subtraction, so no cancellation lifts lower.
+        upper = (upper + moved[labels]) * (1.0 + _SLACK)
+        lower = lower * (1.0 - _SLACK) - shift * (1.0 + _SLACK)
+        check = np.flatnonzero(upper >= lower)
     return labels, centers, _wcss(x, centers, labels)
 
 
@@ -237,8 +275,9 @@ def _bic(x: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
     variance = rss / (dims * (n - k))
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     counts = counts[counts > 0]
+    logs = np.array([math.log(c) for c in counts.tolist()])  # libm, not numpy's dispatched log
     log_likelihood = (
-        float((counts * np.log(counts)).sum())
+        float((counts * logs).sum())
         - n * math.log(n)
         - (n * dims / 2.0) * math.log(2.0 * math.pi * variance)
         - float(((counts - k) / 2.0).sum())
@@ -542,8 +581,9 @@ def dbscan(points: Sequence[GeoPoint] | np.ndarray, cfg: DbscanConfig) -> Labeli
     labels[labels == n] = NOISE
 
     clustered = labels != NOISE
-    centers, _ = _means_by_label(x[clustered], labels[clustered], first.size)
-    return Labeling(labels=labels, centers=centers, wcss=_wcss(x[clustered], centers, labels[clustered]))
+    members = labels[clustered]
+    centers = _means_by_label(x[clustered].T, members, np.bincount(members, minlength=first.size))
+    return Labeling(labels=labels, centers=centers, wcss=_wcss(x[clustered], centers, members))
 
 
 def format_cluster_report(centroids: Sequence[GeoPoint]) -> str:

@@ -79,7 +79,7 @@ def degree_rows(draw, max_rows):
 @given(x=degree_rows(200), centers=degree_rows(60))
 def test_sq_distances_equal_einsum_form(x, centers):
     # Labels and radii depend on every bit, so the two forms must agree exactly.
-    assert np.array_equal(_sq_distances(x, centers), reference.sq_distances(x, centers))
+    assert np.array_equal(_sq_distances(x.T, centers).T, reference.sq_distances(x, centers))
 
 
 @st.composite
@@ -105,6 +105,64 @@ def kmeans_instances(draw):
 def test_kmeans_equals_frozen_reference(instance):
     # Labels and radii depend on every bit, so seeding, Lloyd's passes and the
     # restart choice must all match the reference exactly.
+    x, cfg = instance
+    got = kmeans(x, cfg)
+    labels, centers, wcss = reference.kmeans(x, cfg.k, cfg.seed, cfg.restarts, cfg.max_iterations, cfg.tolerance)
+    assert np.array_equal(got.labels, labels)
+    assert got.centers.tobytes() == centers.tobytes()
+    assert got.wcss.hex() == wcss.hex()
+
+
+@st.composite
+def kmeans_scale_instances(draw):
+    """Up to a few thousand points, where Lloyd's bounds skip most distance rows.
+
+    Gaussian blobs of 20-400 points each, a lattice pool with many
+    duplicates and exact ties, or rows uniform over the world. Sizes and k
+    come from the drawn generator, so they spread over their whole range.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["blobs", "lattice", "world"]))
+    if kind == "blobs":
+        blobs = rng.integers(1, 9)
+        centres = np.column_stack((rng.uniform(6.0, 6.6, blobs), rng.uniform(-75.8, -75.2, blobs)))
+        sigma = draw(st.sampled_from([0.005, 0.02, 0.1]))
+        x = np.concatenate([c + rng.normal(0.0, sigma, (m, 2)) for c, m in zip(centres, rng.integers(20, 401, blobs))])
+    elif kind == "lattice":
+        pool = rng.integers(-4, 5, (rng.integers(2, 31), 2)) * draw(st.sampled_from([1.0, 0.25, 0.003]))
+        x = np.array([6.0, -75.0]) + pool[rng.integers(0, len(pool), rng.integers(10, 2001))]
+    else:
+        n = rng.integers(10, 2001)
+        x = np.column_stack((rng.uniform(-90, 90, n), rng.uniform(-180, 180, n)))
+    cfg = KMeansConfig(
+        k=int(rng.integers(1, min(12, len(x)) + 1)),
+        tolerance=draw(st.sampled_from([0.0, 1e-7])),
+        seed=draw(st.integers(0, 2**16)),
+        restarts=draw(st.integers(1, 2)),
+    )
+    return x, cfg
+
+
+# Half-degree lattices. In the first, a cluster empties in the second pass;
+# in the second, a point checked in the third pass is equidistant from two centres.
+EMPTIED_LATER = np.array([
+    (7.0, -73.5), (6.5, -74.5), (7.5, -73.0), (7.0, -74.0), (7.0, -75.5), (8.5, -74.5), (8.0, -73.0),
+    (8.0, -74.5), (7.0, -74.0), (8.0, -73.0), (8.0, -74.5), (8.0, -75.0), (6.5, -74.5), (7.0, -74.0),
+    (8.5, -74.5), (8.5, -75.5), (7.5, -73.0), (7.0, -73.5), (7.0, -74.5),
+])
+TIED_LATER = np.array([
+    (7.5, -75.5), (7.0, -75.5), (6.5, -73.0), (6.0, -73.0), (7.0, -74.5), (6.0, -73.5), (6.0, -74.0),
+    (6.5, -74.5), (8.5, -75.5), (7.5, -75.5), (7.5, -74.5), (6.0, -75.0),
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kmeans_scale_instances())
+@example((EMPTIED_LATER, KMeansConfig(k=4, tolerance=0.0, seed=2, restarts=1)))
+@example((TIED_LATER, KMeansConfig(k=4, tolerance=0.0, seed=0, restarts=1)))
+def test_kmeans_at_scale_equals_frozen_reference(instance):
+    # A pass computes distance rows only where the bounds cannot prove the
+    # label, so the labels must still be those of full passes, bit for bit.
     x, cfg = instance
     got = kmeans(x, cfg)
     labels, centers, wcss = reference.kmeans(x, cfg.k, cfg.seed, cfg.restarts, cfg.max_iterations, cfg.tolerance)
@@ -310,6 +368,22 @@ class TestBic:
         centers = np.zeros((1, 2))
         labels = np.zeros(10, dtype=np.int64)
         assert _bic(x, centers, labels) == float("-inf")
+
+    def test_count_logs_come_from_libm(self):
+        # numpy's AVX-512 log differs from math.log at 9,170, so a split
+        # decision could flip with the host if the count logs came from np.log.
+        n, dims, k = 9_170, 2, 1
+        x = np.random.default_rng(23).normal(0.0, 1.0, (n, dims))
+        centers, labels = x.mean(axis=0)[None, :], np.zeros(n, dtype=np.int64)
+        variance = reference.wcss(x, centers, labels) / (dims * (n - k))
+        expected = (
+            n * math.log(n)
+            - n * math.log(n)
+            - (n * dims / 2.0) * math.log(2.0 * math.pi * variance)
+            - (n - k) / 2.0
+            - (k * (dims + 1) / 2.0) * math.log(n)
+        )
+        assert _bic(x, centers, labels) == expected
 
 
 class TestXMeans:
@@ -674,6 +748,34 @@ class TestDbscanWork:
         points += [GeoPoint(lat, lon) for lat, lon in zip(lats, lons)]
         dbscan(points, DbscanConfig(eps_km=5.0, min_pts=5))
         assert distances[0] <= bound  # measured with the probe row
+
+
+class TestKmeansWork:
+    """Counted work of one ``kmeans(k=10)``: Lloyd passes and the distance cells they compute."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        count = {"passes": 0, "cells": 0}
+        assign = clustering._assign
+
+        def counted(cols, centers):
+            d2, labels = assign(cols, centers)
+            count["passes"] += 1
+            count["cells"] += d2.size
+            return d2, labels
+
+        monkeypatch.setattr(clustering, "_assign", counted)
+        return count
+
+    @pytest.mark.parametrize("n_per, passes, cells", [(60, 31, 61_180), (600, 56, 701_210)])
+    def test_criterion_3_blobs(self, work, n_per, passes, cells):
+        # No cluster empties on these blobs, so each pass makes one _assign call.
+        from .conftest import sample_centers_in_box
+
+        points = make_blobs(sample_centers_in_box(10, seed=42), sigma=0.01, n_per=n_per, seed=7)
+        kmeans(points, KMeansConfig(k=10))
+        assert work["passes"] == passes  # identical labels make identical passes
+        assert work["cells"] <= cells  # measured with the bounds; full passes compute n * 10 per pass
 
 
 class TestClusterReport:

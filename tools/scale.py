@@ -1,6 +1,6 @@
-"""Corpus and pipeline wall time on an N-record store, in a fresh interpreter per run.
+"""Corpus, pipeline and X-means wall time on an N-record store, in a fresh interpreter per run.
 
-    python3 tools/scale.py [--records N] [--checkout DIR] [--runs R]
+    python3 tools/scale.py [--records N] [--checkout DIR] [--runs R] [--k-max K]
 
 The store holds N geotagged tweets in 10 Gaussian blobs of equal size
 (sigma 0.01 deg). Their centres are drawn uniformly in lat 6.0 to 6.5 and
@@ -12,9 +12,10 @@ and every checkout reads the same bytes.
 Each run starts a new interpreter with CHECKOUT/src on the path. It opens
 the store read-only, times ``pipeline.build_corpus(store, keywords, bbox)``,
 then times ``pipeline.run_pipeline`` with the default ``PipelineConfig``
-(eps 5 km, min_pts 5, k = 10). It prints one JSON line: both wall times,
-the interpreter's peak RSS (numpy and both results included), and the
-clustered, noise and purged record counts with the cluster count.
+(eps 5 km, min_pts 5, k = 10), then ``xmeans(x, XMeansConfig(10, K))`` on
+the rows DBSCAN kept (K = 10 by default). It prints one JSON line: the three
+wall times, the interpreter's peak RSS (numpy and all results included),
+and the clustered, noise and purged record counts with the cluster count.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ PHRASES = ("arriba Medellín", "gran FIESTA hoy", "I'm at Parque Lleras 4sq.com/
 
 CHILD = """
 import json, resource, sys, time
-from geozones.pipeline import PipelineConfig, build_corpus, run_pipeline
+from geozones.pipeline import PipelineConfig, XMeansConfig, build_corpus, run_pipeline, xmeans
 from geozones.store import DocumentStore
 cfg = PipelineConfig(store_dir=sys.argv[1])
 with DocumentStore(cfg.store_dir, read_only=True) as store:
@@ -44,9 +45,13 @@ with DocumentStore(cfg.store_dir, read_only=True) as store:
 start = time.perf_counter()
 result = run_pipeline(cfg)
 pipeline_s = time.perf_counter() - start
+start = time.perf_counter()
+xmeans(result.records.x, XMeansConfig(10, int(sys.argv[2])))
+xmeans_s = time.perf_counter() - start
 print(json.dumps({
     "build_corpus_s": round(corpus_s, 4),
     "run_pipeline_s": round(pipeline_s, 4),
+    "xmeans_s": round(xmeans_s, 4),
     "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     "records": len(result.records),
     "noise": len(result.noise),
@@ -79,6 +84,7 @@ def main(argv=None) -> int:
     parser.add_argument("--records", type=int, default=100_000)
     parser.add_argument("--checkout", type=Path, default=ROOT, help="repository checkout whose pipeline runs")
     parser.add_argument("--runs", type=int, default=3)
+    parser.add_argument("--k-max", type=int, default=10, help="X-means timed on the kept rows with k 10..K")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="geozones-scale-") as tmp:
         store = Path(tmp) / "store"
@@ -86,7 +92,7 @@ def main(argv=None) -> int:
         env = dict(os.environ, PYTHONPATH=str(args.checkout.resolve() / "src"))
         env.pop("ZONE_SEED", None)
         for _ in range(args.runs):
-            subprocess.run([sys.executable, "-c", CHILD, str(store)], env=env, check=True)
+            subprocess.run([sys.executable, "-c", CHILD, str(store), str(args.k_max)], env=env, check=True)
     return 0
 
 
