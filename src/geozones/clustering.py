@@ -21,7 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, CoordinateError
-from .geo import EARTH_RADIUS_KM, GeoPoint, haversine_to_many
+# haversine_to_many is unused here, but perfbench's clustering.haversine_to_many_calls
+# counter wraps this name (it reads 0); without it a traced run prints # MISSING.
+from .geo import EARTH_RADIUS_KM, GeoPoint, haversine_h, haversine_to_many  # noqa: F401
 
 NOISE = -1
 
@@ -357,16 +359,12 @@ _EDGE_DEG = 1e-12
 _BLOCK = 1 << 16
 
 
-def _reach_rad(eps_km: float) -> float:
-    """eps as an angle, widened so a pair that computes as within eps stays in reach.
-
-    Capped at pi: any two points are within pi radians, so a larger eps
-    reaches no further, and the cap keeps the grid's row offsets finite.
-    """
-    return min(eps_km * (1.0 + _H_MARGIN) / EARTH_RADIUS_KM, math.pi)
+def _h_eps(eps_km: float) -> float:
+    """Two points are within eps when their h is at most this; 1 for eps >= pi R, since h <= 1."""
+    return math.sin(min(eps_km / (2.0 * EARTH_RADIUS_KM), math.pi / 2)) ** 2
 
 
-def _grid(x: np.ndarray, eps_km: float):
+def _grid(x: np.ndarray, h_eps: float):
     """Bucket the points into cells any two of whose points are within eps.
 
     Returns ``(order, bounds, near_start, near)``: cell c holds the points
@@ -377,14 +375,15 @@ def _grid(x: np.ndarray, eps_km: float):
     Row k holds the points with floor(lat / H) == k and is cut into equal
     columns of longitude counted from -180 and wrapping at 180. The sizes
     come from h = sin²(Δφ/2) + cos φa·cos φb·sin²(Δλ/2), with
-    s² = sin²(eps/2R)·(1 - margin): sin²(H/2) <= s²/2, and a row's column
-    width W has cos²(φmin)·sin²(W/2) <= s²/2, φmin being the row's smallest
-    |φ|. Two points within eps have |Δφ| <= eps/R and
-    sin(|Δλ|/2) <= sin(eps/2R)/cos(φmax), φmax the largest |φ| of their
-    rows; where that bound reaches 1 (a polar cap, or a huge eps) every
-    column is in reach.
+    s² = h_eps·(1 - margin): sin²(H/2) <= s²/2, and a row's column width W
+    has cos²(φmin)·sin²(W/2) <= s²/2, φmin being the row's smallest |φ|.
+    Two points within eps, widened to h <= h_eps·(1 + margin) = sin²(a/2),
+    have |Δφ| <= a and sin(|Δλ|/2) <= sin(a/2)/cos(φmax), φmax the largest
+    |φ| of their rows; where that bound reaches 1 (a polar cap, or a huge
+    eps) every column is in reach. The arcsines here only size cells and
+    spans, inside the margins; no label rests on them.
     """
-    s2 = math.sin(min(eps_km / (2.0 * EARTH_RADIUS_KM), math.pi / 2)) ** 2 * (1.0 - _H_MARGIN)
+    s2 = h_eps * (1.0 - _H_MARGIN)
     height = math.degrees(2.0 * math.asin(math.sqrt(s2 / 2.0))) - 2.0 * _EDGE_DEG
     rows, row = np.unique(np.floor(x[:, 0] / height).astype(np.int64), return_inverse=True)
     edges = np.abs(np.stack([rows, rows + 1]) * height)
@@ -402,9 +401,8 @@ def _grid(x: np.ndarray, eps_km: float):
     cells = np.arange(starts.size)
 
     # Cells in reach, found row offset by row offset as spans of columns.
-    reach = _reach_rad(eps_km)
-    reach_rows = int((math.degrees(reach) + 2.0 * _EDGE_DEG) // height) + 1
-    sin_half = math.sin(reach / 2.0) if reach < math.pi else math.inf
+    sin_half = math.sqrt(h_eps * (1.0 + _H_MARGIN))
+    reach_rows = int((math.degrees(2.0 * math.asin(min(sin_half, 1.0))) + 2.0 * _EDGE_DEG) // height) + 1
     key_base = int(ncol.max())
     keys = cell_row * key_base + cell_col
     west = cell_col * width[cell_row] - _EDGE_DEG  # degrees east of -180
@@ -448,19 +446,19 @@ def _h_floor(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sin(np.radians(dlat) / 2.0) ** 2 + np.cos(np.radians(phi)) ** 2 * np.sin(np.radians(dlon) / 2.0) ** 2
 
 
-def _eps_blocks(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, eps_km: float):
+def _eps_blocks(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, h_eps: float):
     """Yield (i, j, within) tiles of the eps test between two index sets.
 
-    ``within[a, b]`` says point ``rows[i + a]`` is within ``eps_km`` of point
-    ``cols[j + b]``, computed with ``rows[i + a]`` as the origin. Each tile
-    holds at most ``_BLOCK`` elements.
+    ``within[a, b]`` says point ``rows[i + a]`` is within eps of point
+    ``cols[j + b]``, their h computed with ``rows[i + a]`` as the origin at
+    most ``h_eps``. Each tile holds at most ``_BLOCK`` elements.
     """
     col_step = min(len(cols), _BLOCK)
     row_step = max(1, _BLOCK // col_step)
     for j in range(0, len(cols), col_step):
         targets = x[cols[j : j + col_step]]
         for i in range(0, len(rows), row_step):
-            yield i, j, haversine_to_many(x[rows[i : i + row_step]], targets[:, 0], targets[:, 1]) <= eps_km
+            yield i, j, haversine_h(x[rows[i : i + row_step]], targets[:, 0], targets[:, 1]) <= h_eps
 
 
 def _box(p: np.ndarray) -> np.ndarray:
@@ -468,27 +466,28 @@ def _box(p: np.ndarray) -> np.ndarray:
     return np.array([[p[:, 0].min(), p[:, 0].max(), p[:, 1].min(), p[:, 1].max()]])
 
 
-def _touch(x: np.ndarray, p: np.ndarray, q: np.ndarray, eps_km: float, limit: float) -> bool:
+def _touch(x: np.ndarray, p: np.ndarray, q: np.ndarray, h_eps: float) -> bool:
     """Whether some point of ``p`` lies within eps of some point of ``q``.
 
     One probe row, the larger set's first point against the other set,
     comes first, and a hit ends the test. Otherwise small pairs are one
-    haversine block; larger ones halve the larger set at the median of its
-    wider side, drop a half whose box has an h floor above ``limit`` against
-    the other set's box, and search the nearer half first.
+    h block; larger ones halve the larger set at the median of its wider
+    side, drop a half whose box has an h floor above ``h_eps`` widened by
+    ``_H_MARGIN`` against the other set's box, and search the nearer half first.
     """
     if p.size < q.size:
-        p, q = q, p  # the distance is symmetric
-    if q.size > 1 and (haversine_to_many(x[p[:1]], x[q, 0], x[q, 1]) <= eps_km).any():
+        p, q = q, p  # h is symmetric
+    if q.size > 1 and (haversine_h(x[p[:1]], x[q, 0], x[q, 1]) <= h_eps).any():
         return True
     if p.size * q.size <= _BLOCK:
-        return bool((haversine_to_many(x[p], x[q, 0], x[q, 1]) <= eps_km).any())
+        return bool((haversine_h(x[p], x[q, 0], x[q, 1]) <= h_eps).any())
     box_q = _box(x[q])
     axis = int(np.ptp(x[p, 1]) > np.ptp(x[p, 0]))
     split = np.argpartition(x[p, axis], p.size // 2)
     halves = [p[split[: p.size // 2]], p[split[p.size // 2 :]]]
     floors = [float(_h_floor(_box(x[h]), box_q)[0]) for h in halves]
-    return any(_touch(x, halves[i], q, eps_km, limit) for i in np.argsort(floors) if floors[i] <= limit)
+    limit = h_eps * (1.0 + _H_MARGIN)
+    return any(_touch(x, halves[i], q, h_eps) for i in np.argsort(floors) if floors[i] <= limit)
 
 
 def dbscan(points: Sequence[GeoPoint] | np.ndarray, cfg: DbscanConfig) -> Labeling:
@@ -510,15 +509,17 @@ def dbscan(points: Sequence[GeoPoint] | np.ndarray, cfg: DbscanConfig) -> Labeli
     keeps while its count is below ``min_pts`` give a border point its label.
     Cells with core points are joined by a union-find, nearest pairs of
     cells first, each test stopping at the first core pair within eps. Every
-    within-eps test evaluates ``haversine_to_many`` from the same origin as
-    a full neighbour scan would, so the labels equal the exhaustive result.
+    within-eps test is ``haversine_h(...) <= h_eps``, h_eps = sin²(eps/2R),
+    from the same origin as a full neighbour scan, so the labels equal the
+    exhaustive result. sin, cos and sqrt round alike on every CPU numpy
+    dispatches to, so the labels do not depend on the host.
     """
     x = points_array(points)
     n = x.shape[0]
     if n == 0:
         raise ConfigError("density clustering needs at least one point")
-    eps, min_pts = cfg.eps_km, cfg.min_pts
-    order, bounds, near_start, near = _grid(x, eps)
+    h_eps, min_pts = _h_eps(cfg.eps_km), cfg.min_pts
+    order, bounds, near_start, near = _grid(x, h_eps)
     n_cells = bounds.size - 1
     sizes = np.diff(bounds)
     cells = np.split(order, bounds[1:-1])
@@ -531,7 +532,7 @@ def dbscan(points: Sequence[GeoPoint] | np.ndarray, cfg: DbscanConfig) -> Labeli
     for c in np.flatnonzero((sizes < min_pts) & (np.diff(near_start) > 1)):
         rows, cols = cells[c], np.concatenate([cells[b] for b in near[near_start[c] : near_start[c + 1]]])
         counts = np.zeros(rows.size, dtype=np.int64)
-        for i, j, within in _eps_blocks(x, rows, cols, eps):
+        for i, j, within in _eps_blocks(x, rows, cols, h_eps):
             seen = counts[i : i + len(within)]  # a view, updated in place
             seen += within.sum(axis=1)
             r, k = np.nonzero(within & (seen < min_pts)[:, None])
@@ -543,8 +544,7 @@ def dbscan(points: Sequence[GeoPoint] | np.ndarray, cfg: DbscanConfig) -> Labeli
     core_xy = np.where(core[order, None], x[order], np.nan)  # in cell order
     lows, highs = np.fmin.reduceat(core_xy, bounds[:-1]), np.fmax.reduceat(core_xy, bounds[:-1])
     boxes = np.c_[lows[:, 0], highs[:, 0], lows[:, 1], highs[:, 1]]  # NaN for a cell without core
-    reach = _reach_rad(eps)
-    limit = math.sin(reach / 2.0) ** 2 if reach < math.pi else math.inf
+    limit = h_eps * (1.0 + _H_MARGIN)  # box h floors pass 1 by rounding at most
     src = np.repeat(np.arange(n_cells), np.diff(near_start))
     a, b = src[src < near], near[src < near]
     floor = _h_floor(boxes[a], boxes[b])
@@ -560,7 +560,7 @@ def dbscan(points: Sequence[GeoPoint] | np.ndarray, cfg: DbscanConfig) -> Labeli
 
     for a, b in zip(a[kept].tolist(), b[kept].tolist()):
         ra, rb = find(a), find(b)
-        if ra != rb and _touch(x, core_of[a], core_of[b], eps, limit):
+        if ra != rb and _touch(x, core_of[a], core_of[b], h_eps):
             parent[max(ra, rb)] = min(ra, rb)
 
     # Number the components by the input order of their first core point.

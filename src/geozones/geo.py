@@ -64,25 +64,29 @@ def haversine_distance(a: GeoPoint | Sequence[float], b: GeoPoint | Sequence[flo
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(max(0.0, h))))
 
 
-def haversine_to_many(
-    origin: GeoPoint | np.ndarray, lats_deg: np.ndarray, lons_deg: np.ndarray
-) -> np.ndarray:
-    """Vectorized haversine distances from ``origin`` to arrays of coordinates.
+def haversine_h(origin: np.ndarray, lats_deg: np.ndarray, lons_deg: np.ndarray) -> np.ndarray:
+    """The ``(m, n)`` haversine h, at most 1, from ``(m, 2)`` (lat, lon) rows to arrays of coordinates.
 
-    ``origin`` is one ``GeoPoint``, giving an ``(n,)`` row, or an ``(m, 2)``
-    array of (lat, lon) rows, giving an ``(m, n)`` block. A point is the
-    one-row case of the block expression, which is evaluated element by
-    element, so block row i equals the call from point i bit for bit, and
-    d(a, b) == d(b, a) (the two differences only change sign).
+    d = 2R·arcsin(√h). Element by element, so row i equals the block from row i alone, and
+    h(a, b) == h(b, a). It takes sin, cos and products but no arcsin, whose numpy kernel differs by CPU.
     """
-    if isinstance(origin, GeoPoint):
-        return haversine_to_many(np.array([[origin.lat_deg, origin.lon_deg]]), lats_deg, lons_deg)[0]
     lat1, lon1 = origin[:, 0:1], origin[:, 1:2]
     lats = np.asarray(lats_deg, dtype=np.float64)
     dlat = (lats - lat1) * _DEG_TO_RAD
     dlon = (np.asarray(lons_deg, dtype=np.float64) - lon1) * _DEG_TO_RAD
     h = np.sin(dlat / 2.0) ** 2 + np.cos(lat1 * _DEG_TO_RAD) * np.cos(lats * _DEG_TO_RAD) * np.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+    return np.minimum(h, 1.0)  # rounding passes 1 for some antipodal pairs
+
+
+def haversine_to_many(origin: GeoPoint | np.ndarray, lats_deg: np.ndarray, lons_deg: np.ndarray) -> np.ndarray:
+    """Haversine distances from ``origin`` to arrays of coordinates: 2R·arcsin(√h) over ``haversine_h``.
+
+    One ``GeoPoint`` gives an ``(n,)`` row, ``(m, 2)`` rows an ``(m, n)`` block.
+    numpy's arcsin differs by CPU, so decisions compare h instead.
+    """
+    if isinstance(origin, GeoPoint):
+        return haversine_to_many(np.array([[origin.lat_deg, origin.lon_deg]]), lats_deg, lons_deg)[0]
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(haversine_h(origin, lats_deg, lons_deg)))
 
 
 def destination_point(center: GeoPoint, bearing_deg: float, distance: DistanceKm) -> GeoPoint:

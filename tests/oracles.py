@@ -10,11 +10,12 @@ neighbor graph.
 from __future__ import annotations
 
 import itertools
+import math
 
 import mpmath as mp
 import numpy as np
 
-from geozones.geo import GeoPoint, haversine_to_many
+from geozones.geo import GeoPoint
 
 mp.mp.dps = 50
 
@@ -83,13 +84,22 @@ def brute_force_dbscan(points, eps_km: float, min_pts: int) -> np.ndarray:
     points take the lowest cluster id among their adjacent cores; all other
     points are -1. Cluster ids follow the input order of each component's
     first core point, matching the contract of the library implementation.
+
+    Two points are adjacent when their haversine h is at most
+    sin²(min(eps/2R, π/2)). h takes only sin, cos and products, never an
+    arcsin, so the adjacency does not depend on the CPU numpy dispatches to.
     """
     n = len(points)
     lats = np.asarray([p.lat_deg for p in points])
     lons = np.asarray([p.lon_deg for p in points])
-    adjacency = [
-        np.flatnonzero(haversine_to_many(points[i], lats, lons) <= eps_km) for i in range(n)
-    ]
+    h_eps = math.sin(min(eps_km / (2.0 * 6371.0), math.pi / 2)) ** 2
+    rad = math.pi / 180.0
+
+    def h_from(p):  # rounding can pass 1 for antipodal pairs; h is at most 1
+        dlat, dlon = (lats - p.lat_deg) * rad, (lons - p.lon_deg) * rad
+        return np.minimum(np.sin(dlat / 2.0) ** 2 + math.cos(p.lat_deg * rad) * np.cos(lats * rad) * np.sin(dlon / 2.0) ** 2, 1.0)
+
+    adjacency = [np.flatnonzero(h_from(points[i]) <= h_eps) for i in range(n)]
     core = np.asarray([len(adjacency[i]) >= min_pts for i in range(n)])
 
     uf = _UnionFind(n)

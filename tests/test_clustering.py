@@ -18,8 +18,8 @@ from geozones.clustering import (
     XMeansConfig,
     _bic,
     _grid,
+    _h_eps,
     _lloyd,
-    _reach_rad,
     _sq_distances,
     _touch,
     dbscan,
@@ -29,7 +29,7 @@ from geozones.clustering import (
     xmeans,
 )
 from geozones.errors import ConfigError, CoordinateError
-from geozones.geo import EARTH_RADIUS_KM, GeoPoint, haversine_to_many
+from geozones.geo import EARTH_RADIUS_KM, GeoPoint, haversine_h, haversine_to_many
 
 from . import reference
 from .conftest import BUG_POINT, make_blobs
@@ -583,7 +583,7 @@ class TestDbscan:
         km_per_lon = KM_PER_DEG * math.cos(math.radians(6.226))
         points = [GeoPoint(6.202 + i * 0.008, -75.52) for i in range(4)]
         points += [GeoPoint(6.226, -75.52 + 4.9 / km_per_lon), GeoPoint(6.202, -75.52 + 5.5 / km_per_lon)]
-        assert _grid(points_array(points), 5.0)[1].tolist() == [0, 4, 6]
+        assert _grid(points_array(points), _h_eps(5.0))[1].tolist() == [0, 4, 6]
         assert self.assert_oracle(points, 5.0, 2).tolist() == [0] * 6
 
     def test_one_cell_of_duplicates(self):
@@ -617,6 +617,10 @@ class TestDbscan:
         assert time.perf_counter() - start < 1.0
         assert labels.tolist() == [0] * 200
 
+    @pytest.mark.parametrize("eps", [20_016.0, math.inf])
+    def test_antipodal_pair_whose_h_rounds_past_one(self, eps):
+        assert self.assert_oracle([GeoPoint(2.5, 0.0), GeoPoint(-2.5, 180.0)], eps, 2).tolist() == [0, 0]
+
     def test_tiny_eps_rejected(self):
         with pytest.raises(ConfigError):
             DbscanConfig(eps_km=1e-7)
@@ -642,7 +646,7 @@ class TestDbscan:
             for b in (west + inset_lon, west + width - inset_lon)
         ]
         x = points_array(points)
-        assert _grid(x, eps)[1].tolist() == [0, 4]  # one cell
+        assert _grid(x, _h_eps(eps))[1].tolist() == [0, 4]  # one cell
         d = haversine_to_many(x, x[:, 0], x[:, 1])
         assert (d <= eps).all()
         assert d.max() > 0.99 * eps
@@ -674,11 +678,11 @@ class TestTouch:
 
     @staticmethod
     def assert_block_any(x, p, q, eps, block=None):
-        limit = math.sin(_reach_rad(eps) / 2.0) ** 2
-        expected = bool((haversine_to_many(x[p], x[q, 0], x[q, 1]) <= eps).any())
+        h_eps = _h_eps(eps)
+        expected = bool((haversine_h(x[p], x[q, 0], x[q, 1]) <= h_eps).any())
         with mock.patch.object(clustering, "_BLOCK", block or clustering._BLOCK):
-            assert _touch(x, p, q, eps, limit) == expected
-            assert _touch(x, q, p, eps, limit) == expected
+            assert _touch(x, p, q, h_eps) == expected
+            assert _touch(x, q, p, h_eps) == expected
         return expected
 
     @settings(max_examples=200, deadline=None)
@@ -698,7 +702,7 @@ class TestTouch:
 
 
 class TestDbscanWork:
-    """Counted work: ``haversine_to_many`` calls and the distances they compute, which wall-time noise does not move."""
+    """Counted work: ``haversine_h`` calls and the h values they compute, which wall-time noise does not move."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -706,9 +710,9 @@ class TestDbscanWork:
 
         def counted(*args):
             count[0] += 1
-            return haversine_to_many(*args)
+            return haversine_h(*args)
 
-        monkeypatch.setattr(clustering, "haversine_to_many", counted)
+        monkeypatch.setattr(clustering, "haversine_h", counted)
         return count
 
     def test_cells_alone_in_reach_compute_no_distance(self, calls):
@@ -730,11 +734,11 @@ class TestDbscanWork:
         count = [0]
 
         def counted(*args):
-            block = haversine_to_many(*args)
+            block = haversine_h(*args)
             count[0] += block.size
             return block
 
-        monkeypatch.setattr(clustering, "haversine_to_many", counted)
+        monkeypatch.setattr(clustering, "haversine_h", counted)
         return count
 
     @pytest.mark.parametrize("n_per, n_uniform, bound", [(60, 0, 4_173), (600, 600, 158_685)])

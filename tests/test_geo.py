@@ -11,6 +11,7 @@ from geozones.geo import (
     GeoPoint,
     destination_point,
     haversine_distance,
+    haversine_h,
     haversine_to_many,
 )
 
@@ -134,6 +135,21 @@ class TestHaversineDistance:
         x = np.array(rows)
         block = haversine_to_many(x, x[:, 0], x[:, 1])
         assert np.array_equal(block, block.T)
+
+    def test_distance_is_the_arcsine_of_h(self):
+        rng = np.random.default_rng(5)
+        origins = np.c_[rng.uniform(-90, 90, 20), rng.uniform(-180, 180, 20)]
+        lats, lons = rng.uniform(-90, 90, 200), rng.uniform(-180, 180, 200)
+        h = haversine_h(origins, lats, lons)
+        assert ((h >= 0.0) & (h <= 1.0)).all()
+        assert np.array_equal(haversine_to_many(origins, lats, lons), 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h)))
+
+    def test_antipodal_h_is_clamped_to_one(self):
+        # The unclamped expression rounds to 1 + 2**-52 for this pair.
+        lat, rad = 2.5, math.pi / 180.0
+        raw = math.sin(-lat * rad) ** 2 + math.cos(lat * rad) * math.cos(-lat * rad) * math.sin(math.pi / 2) ** 2
+        assert raw > 1.0
+        assert haversine_h(np.array([[lat, 0.0]]), [-lat], [180.0]).tolist() == [[1.0]]
 
 class TestDestinationPoint:
     def test_one_degree_north(self):

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import stat
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geozones import corpus, pipeline
 from geozones import store as store_module
@@ -519,3 +524,37 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert "ZONE_SEED" in err
         assert len(err) < 200  # the rejected value is echoed cut short
+
+
+# Floats as the CLI reads them: named edge values, and repr of any float, NaN and infinities included.
+FLOAT_ARGS = st.sampled_from(["1e-6", "20016", "1e308", "inf", "-inf", "nan", "-1", "0"]) | st.floats().map(repr)
+DEFAULT_BBOX = ["5.9", "6.6", "-75.8", "-75.1"]
+
+
+class TestCliContract:
+    """Whatever the eps, bbox and ``ZONE_SEED``, ``main`` returns 0, 1 or 2 and raises nothing."""
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("cli-contract") / "store"
+        populate_store(directory, make_blobs([(6.2, -75.5), (6.4, -75.3)], sigma=0.01, n_per=15, seed=3))
+        return directory
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        eps=FLOAT_ARGS | st.floats(1e-6, 3e4).map(repr),
+        bbox=st.sampled_from([DEFAULT_BBOX, DEFAULT_BBOX[::-1], ["6.6", "5.9", "-75.8", "-75.1"]])
+        | st.lists(FLOAT_ARGS, min_size=4, max_size=4),
+        seed=st.none() | st.text(st.characters(blacklist_characters="\x00"), max_size=12) | st.integers(0, 10**30).map(str),
+    )
+    @example(eps="inf", bbox=DEFAULT_BBOX, seed=None)
+    @example(eps="1e308", bbox=DEFAULT_BBOX, seed="7" * 5000)
+    @example(eps="nan", bbox=["nan", "6.6", "-inf", "inf"], seed="-1")
+    def test_exit_code_is_0_1_or_2(self, store, eps, bbox, seed):
+        argv = ["pipeline", "--store", str(store), "--min-pts", "3", "--k-min", "1", "--k-max", "3"]
+        argv += [f"--eps-km={eps}", "--bbox", *bbox]  # a bbox value such as "-inf" reads as an option: exit 1
+        with mock.patch.dict(os.environ), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            os.environ.pop("ZONE_SEED", None)
+            if seed is not None:
+                os.environ["ZONE_SEED"] = seed
+            assert main(argv) in (EXIT_OK, EXIT_ERROR, EXIT_EMPTY_CORPUS)

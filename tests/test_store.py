@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from geozones import store as store_module
 from geozones.errors import SchemaError, StorageError
 from geozones.geo import GeoPoint
-from geozones.ingest import PhotoRecord, RawTweet
+from geozones.ingest import PhotoRecord, RawTweet, parse_photo_geo, parse_tweet
 from geozones.store import COLLECTIONS, DocumentStore, canonical_json, photo_body, tweet_body
 
 VALID_PHOTO = {"geo": {"latitude": 6.24, "longitude": -75.58, "accuracy": 6}, "name": "parque"}
@@ -543,6 +543,52 @@ class TestFrame:
                 assert [canonical_json(d.body) for d in scanned] == list(map(canonical_json, bodies))
 
 
+# Coordinates whose form a round trip could lose: signed zeros, the least subnormal, integers and the poles and antimeridian.
+EDGE_NUMBERS = [-0.0, 0.0, 5e-324, -5e-324, 0, 1, -1]
+PARSED_LATS = st.sampled_from(EDGE_NUMBERS + [90, -90, 90.0, -90.0]) | st.floats(-90, 90) | st.integers(-90, 90)
+PARSED_LONS = st.sampled_from(EDGE_NUMBERS + [180, -180, 180.0, -180.0]) | st.floats(-180, 180) | st.integers(-180, 180)
+PARSED_TEXT = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)) | st.sampled_from("\x00\x01\x1f\x7f\u2028\u2029\U0001f600\U00010348"),
+    max_size=12,
+)
+
+# A NUL source, a U+2028 and an astral character in the text, and edge coordinates.
+EDGE_TWEET = (
+    '{"coordinates": {"type": "Point", "coordinates": [-0.0, 5e-324]}, "source": "\\u0000", "text": "\\u2028\\ud83d\\ude00"}'
+)
+EDGE_PHOTO = '<photo id="1"><location latitude="-90" longitude="180.0" accuracy="16"/></photo>'
+
+
+@st.composite
+def parsed_bodies(draw):
+    """(collection, body) for whatever ``parse_tweet`` or ``parse_photo_geo`` returns on a drawn payload."""
+    lat, lon = draw(PARSED_LATS), draw(PARSED_LONS)
+    if draw(st.booleans()):
+        block = None if draw(st.booleans()) else {"type": "Point", "coordinates": [lon, lat]}
+        doc = {"coordinates": block, "source": draw(PARSED_TEXT), "text": draw(PARSED_TEXT)}
+        return "tweet", tweet_body(parse_tweet(json.dumps(doc, ensure_ascii=draw(st.booleans()))))
+    accuracy = draw(st.integers(1, 16))
+    xml = f'<photo id="7"><location latitude="{lat!r}" longitude="{lon!r}" accuracy="{accuracy}"/></photo>'
+    return "photo", photo_body(parse_photo_geo(xml))
+
+
+class TestParsedRoundTrip:
+    """Whatever a parser returns, ``put`` accepts its body and ``scan`` returns it with the same canonical JSON."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(bodies=st.lists(parsed_bodies(), min_size=1, max_size=6))
+    @example(bodies=[("tweet", tweet_body(parse_tweet(EDGE_TWEET))), ("photo", photo_body(parse_photo_geo(EDGE_PHOTO)))])
+    def test_put_accepts_and_scan_returns_the_same_json(self, tmp_path_factory, bodies):
+        directory = tmp_path_factory.mktemp("store")
+        with DocumentStore(directory) as store:
+            for collection, body in bodies:
+                store.put(collection, body)
+            for collection in COLLECTIONS:
+                written = [canonical_json(body) for c, body in bodies if c == collection]
+                # canonical_json keeps the sign of -0.0, which == on the bodies would not.
+                assert [canonical_json(d.body) for d in store.scan(collection)] == written
+
+
 # Tokens that have broken, or could break, a reader: invalid UTF-8, a lone
 # surrogate escaped and raw, NUL, a number too long to convert, nesting too
 # deep to decode, an overflowing float, signed and padded numbers, and extra
@@ -598,9 +644,11 @@ class TestLineContract:
             else:
                 assert docs[0].body == VALID_TWEET
                 assert all(isinstance(d.body, dict) for d in docs)
+                for d in docs:  # a body that scan returns can be written again
+                    canonical_json(d.body).encode("utf-8")
 
-    # Seeded with each token as a whole body under a frame with the right len.
-    for token in [BODY.encode("utf-8")] + HOSTILE:
+    # Seeded with each token as a whole body under a frame with the right len, and with a tweet whose text escapes a lone surrogate.
+    for token in [BODY.encode("utf-8"), BODY.replace("hola", "ho\\ud800la").encode("utf-8")] + HOSTILE:
         test_any_line_reads_or_names_its_line = example(line=b'{"body":%s,"doc_id":1,"len":%d}' % (token, len(token)))(
             test_any_line_reads_or_names_its_line
         )

@@ -3,9 +3,11 @@
 For each workload/seed pair below, generate the perfbench payloads at scale 1,
 ingest every kind directory with the checkout's CLI, then run ``pipeline``
 with the workload's eps, min_pts and k range (``--include-members`` where the
-workload exports members), once with ``--output`` and once without. Prints
-the first 12 hex digits of the sha256 of the GeoJSON file and of both
-stdouts, and exits 1 when any prefix differs from the committed ones.
+workload exports members), once with ``--output`` and once without, and once
+more with ``--output`` in a process where numpy's AVX-512 kernels are turned
+off (``avx512_off_env``). Prints the first 12 hex digits of the sha256 of the
+GeoJSON files and of the stdouts, and exits 1 when any prefix differs from
+the committed ones.
 
     python3 tools/fingerprint.py [CHECKOUT]
 
@@ -30,6 +32,8 @@ sys.path.insert(0, str(ROOT))
 from perfbench.workloads import WORKLOADS, generate  # noqa: E402
 
 KINDS = ("tweet", "photo")
+# numpy's AVX-512 dispatch levels. Naming a level that numpy does not dispatch to is an error.
+AVX512_LEVELS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 # (workload, seed) -> (GeoJSON, pipeline stdout) sha256 prefixes.
 EXPECTED = {
@@ -45,9 +49,24 @@ def prefix(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:12]
 
 
-def cli(checkout: Path, *argv: str) -> bytes:
-    """Run the checkout's CLI; return its stdout, raising on a non-zero exit."""
-    env = {k: v for k, v in os.environ.items() if k != "ZONE_SEED"}
+def avx512_off_env() -> dict[str, str]:
+    """A copy of the environment in which a child process's numpy takes no AVX-512 kernel.
+
+    numpy's AVX-512 arcsin and log are not libm and round some inputs
+    differently, so output that rests on them differs between the two.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    env = dict(os.environ)
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(level for level in AVX512_LEVELS if level in __cpu_dispatch__)
+    return env
+
+
+def cli(checkout: Path, *argv: str, env=None) -> bytes:
+    """Run the checkout's CLI in ``env`` (default: this one); return its stdout, raising on a non-zero exit."""
+    env = {k: v for k, v in (env or os.environ).items() if k != "ZONE_SEED"}
     env["PYTHONPATH"] = str(checkout / "src")
     return subprocess.run(
         [sys.executable, "-m", "geozones.cli", *argv],
@@ -58,8 +77,8 @@ def cli(checkout: Path, *argv: str) -> bytes:
     ).stdout
 
 
-def fingerprint(checkout: Path, name: str, seed: int, work: Path) -> tuple[str, str, str]:
-    """(GeoJSON, stdout with --output, stdout without) prefixes for one pair."""
+def fingerprint(checkout: Path, name: str, seed: int, work: Path) -> tuple[str, ...]:
+    """(GeoJSON, stdout with --output, stdout without, and the first two with AVX-512 off) prefixes for one pair."""
     w = WORKLOADS[name]
     payload, store, output = work / "payload", work / "store", work / "zones.geojson"
     generate(name, seed, payload, scale=1.0)
@@ -75,7 +94,9 @@ def fingerprint(checkout: Path, name: str, seed: int, work: Path) -> tuple[str, 
         argv.append("--include-members")
     written = cli(checkout, *argv, "--output", str(output))
     bare = cli(checkout, *argv)
-    return prefix(output.read_bytes()), prefix(written), prefix(bare)
+    off_output = work / "zones-avx512-off.geojson"
+    off = cli(checkout, *argv, "--output", str(off_output), env=avx512_off_env())
+    return prefix(output.read_bytes()), prefix(written), prefix(bare), prefix(off_output.read_bytes()), prefix(off)
 
 
 def main(argv=None) -> int:
@@ -86,11 +107,12 @@ def main(argv=None) -> int:
     failed = False
     for (name, seed), expected in EXPECTED.items():
         with tempfile.TemporaryDirectory(prefix="fingerprint-") as tmp:
-            geojson, written, bare = fingerprint(checkout, name, seed, Path(tmp))
-        ok = (geojson, written, bare) == (expected[0], expected[1], expected[1])
+            geojson, written, bare, off_geojson, off = fingerprint(checkout, name, seed, Path(tmp))
+        ok = (geojson, written, bare, off_geojson, off) == (*expected, expected[1], *expected)
         failed |= not ok
         print(
             f"{name} s{seed}: geojson {geojson} stdout {written} stdout-without-output {bare}"
+            f" avx512-off: geojson {off_geojson} stdout {off}"
             + ("" if ok else f"  DIFFERS (expected {expected[0]} / {expected[1]})")
         )
     return 1 if failed else 0
