@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import astuple
 
@@ -87,6 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--store", required=True, help="store directory")
 
     p_pipeline = sub.add_parser("pipeline", help="cluster the corpus, print report and coverage")
+    # argparse reads a token that starts with "-" as an option unless its _negative_number_matcher
+    # matches; the default, ^-\d+$|^-\d*\.\d+$, would refuse "--bbox -1e-05 ..." and "--bbox -inf ...".
+    # Every negative token float() accepts starts as this pattern does; type=float judges the rest.
+    p_pipeline._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
     p_pipeline.add_argument("--store", required=True, help="store directory")
     p_pipeline.add_argument(
         "--keyword",

@@ -124,20 +124,12 @@ def _sq_distances(cols: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _assign(cols: np.ndarray, centers: np.ndarray):
-    """The (k, m) distance matrix of one pass and each column's nearest center, lowest index on ties."""
+    """Each column's nearest center (lowest index on ties) and its squared distances
+    to that center and to the nearest other one (inf when k = 1)."""
     d2 = _sq_distances(cols, centers)
-    return d2, d2.argmin(axis=0)
-
-
-def _bounds(d2: np.ndarray, labels: np.ndarray):
-    """Each column's distance to its own center and to the nearest other one (inf when k = 1).
-
-    Overwrites the own-center entries of ``d2``.
-    """
-    idx = np.arange(labels.size)
-    own = d2[labels, idx]
-    d2[labels, idx] = np.inf
-    return np.sqrt(own), np.sqrt(d2.min(axis=0))
+    labels = d2.argmin(axis=0)
+    others = np.arange(len(centers))[:, None] != labels
+    return labels, d2.min(axis=0), d2.min(axis=0, initial=np.inf, where=others)
 
 
 def _wcss(x: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
@@ -201,26 +193,25 @@ def _lloyd(
     check = slice(None)  # the first pass computes every row
     prev_labels = None
     for _ in range(max_iterations):
-        d2, assigned = _assign(cols[:, check], centers)
+        assigned, own, other = _assign(cols[:, check], centers)
         labels = labels.copy()  # prev_labels keeps the last pass's
         labels[check] = assigned
         counts = np.bincount(labels, minlength=k)
         if not counts.all():
             # Re-seed an emptied cluster at the worst-served point, from full rows.
             check = slice(None)
-            d2, labels = _assign(cols, centers)
+            labels, own, other = _assign(cols, centers)
             for _attempt in range(k):
                 counts = np.bincount(labels, minlength=k)
-                empties = np.flatnonzero(counts == 0)
-                if empties.size == 0:
+                if counts.all():
                     break
-                centers[empties[0]] = x[d2.min(axis=0).argmax()]
-                d2, labels = _assign(cols, centers)
+                centers[counts.argmin()] = x[own.argmax()]  # the first emptied cluster
+                labels, own, other = _assign(cols, centers)
             counts = np.bincount(labels, minlength=k)
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             break  # fixed point: centers are already the means of labels
         prev_labels = labels
-        upper[check], lower[check] = _bounds(d2, labels[check])
+        upper[check], lower[check] = np.sqrt(own), np.sqrt(other)
         new_centers = _means_by_label(cols, labels, counts)
         if not counts.all():  # only possible when duplicates defeat re-seeding
             new_centers[counts == 0] = centers[counts == 0]

@@ -231,15 +231,15 @@ def _geo_entity(root: ET.Element) -> PhotoRecord:
 ReplayItem = Union[RawTweet, PhotoRecord, ReplaySummary]
 
 
-def _replay_files(directory: Path) -> list[Path]:
-    # Sorting names, not Paths, gives the same order for one directory at a fraction of
-    # the cost; DirEntry.is_file follows symlinks as Path.is_file does, mostly without a stat.
+def _replay_files(directory: Path) -> list[str]:
+    # Sorted names, not Paths: the same order for one directory at a fraction of the cost, and
+    # a Path per file is built only while that file is read. DirEntry.is_file follows symlinks
+    # as Path.is_file does, mostly without a stat.
     try:
         with os.scandir(directory) as entries:
-            names = sorted(e.name for e in entries if e.is_file() and not e.name.startswith("."))
+            return sorted(e.name for e in entries if e.is_file() and not e.name.startswith("."))
     except OSError as exc:
         raise StorageError(f"replay directory not readable: {directory}: {exc}") from exc
-    return [directory / name for name in names]
 
 
 def replay_source(directory, kind: str) -> Iterator[ReplayItem]:
@@ -254,16 +254,16 @@ def replay_source(directory, kind: str) -> Iterator[ReplayItem]:
     if kind not in ("tweet", "photo"):
         raise ConfigError(f"replay kind must be 'tweet' or 'photo', got {kind!r}")
     directory = Path(directory)
-    files = _replay_files(directory)
+    names = _replay_files(directory)
     summary = ReplaySummary()
 
     if kind == "tweet":
-        for path in files:
+        for name in names:
             try:
-                record = parse_tweet(path.read_text(encoding="utf-8"))
+                record = parse_tweet((directory / name).read_text(encoding="utf-8"))
             except (ZoneError, UnicodeDecodeError, OSError) as exc:
                 summary.skipped += 1
-                summary.failures.append((path.name, str(exc)))
+                summary.failures.append((name, str(exc)))
                 continue
             summary.parsed += 1
             yield record
@@ -274,9 +274,9 @@ def replay_source(directory, kind: str) -> Iterator[ReplayItem]:
     # geo entities in filename order; pass 2 yields the combined records.
     titles: dict[str, str] = {}
     geo_entities: list[PhotoRecord] = []
-    for path in files:
+    for name in names:
         try:
-            root = _xml_root(path.read_text(encoding="utf-8"), "photo")
+            root = _xml_root((directory / name).read_text(encoding="utf-8"), "photo")
             if root.tag == "photos":
                 for stub in _search_page(root).stubs:
                     titles.setdefault(stub.id, stub.title)
@@ -286,7 +286,7 @@ def replay_source(directory, kind: str) -> Iterator[ReplayItem]:
                 raise SchemaError(f"unrecognized root element <{root.tag}>", path=root.tag)
         except (ZoneError, UnicodeDecodeError, OSError) as exc:
             summary.skipped += 1
-            summary.failures.append((path.name, str(exc)))
+            summary.failures.append((name, str(exc)))
     for entity in geo_entities:
         summary.parsed += 1
         yield replace(entity, name=titles.get(entity.photo_id, ""))

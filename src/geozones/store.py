@@ -139,7 +139,7 @@ class DocumentStore:
 
     A writable store creates its directory if needed, holds an exclusive
     advisory lock for its lifetime (a second writer on the same directory
-    fails fast) and drops a last record torn by a crash mid-put. A read-only
+    fails fast) and drops a last record torn by a crash mid-write. A read-only
     store requires the directory to exist. Readers never lock and see every
     write completed before their scan started.
     """
@@ -149,8 +149,7 @@ class DocumentStore:
         self.read_only = read_only
         self._lock_fd = None
         self._counts: dict[str, int] = {}
-        self._batch: dict | None = None  # collection -> (file, length at batch start, created)
-        self._failed_put: OSError | None = None
+        self._batch: dict[str, bytearray] | None = None  # collection -> encoded lines of the open batch
         if read_only:
             if not self.directory.is_dir():
                 raise StorageError(f"no store directory at {self.directory}")
@@ -178,8 +177,8 @@ class DocumentStore:
 
     @staticmethod
     def _count_lines(path: Path, repair: bool = False) -> int:
-        # With ``repair`` (the writer, holding the lock), a last line without its newline,
-        # which is what a put torn by a crash leaves, is cut off and the cut fsynced first.
+        # With ``repair`` (the writer, holding the lock), a last line without its newline, which
+        # is what a crash during a batch's exit write can leave, is cut off and the cut fsynced first.
         if not path.exists():
             return 0
         with open(path, "r+b" if repair else "rb") as fh:
@@ -208,35 +207,45 @@ class DocumentStore:
     def batch(self):
         """Make the puts inside the block one all-or-nothing write.
 
-        Each collection file is opened once, at its first put, and each put
-        appends its line without an fsync. On a clean exit each touched file
-        is fsynced once, then the store directory if the batch created a
-        file, so the block's documents become durable together. On any
-        exception, a failed put or fsync included, each touched file is cut
-        back to its length at batch start (a file the batch created is
-        removed), the cut is fsynced, the doc_ids are handed out again and
-        the exception propagates, an OSError as StorageError. Batches do not
-        nest.
+        Puts inside the block only encode their documents, in memory, and hand
+        out doc_ids; no file changes until the block exits, so a block that
+        raises (its doc_ids are handed out again) or a process killed inside
+        it leaves the files as they were. On a clean exit each touched file
+        gets its lines in one append and one fsync, then the directory is
+        fsynced if the batch created a file. If that fails, each touched file
+        is cut back to its length at batch start (a created file is removed),
+        the cut is fsynced, the doc_ids are handed out again and a
+        StorageError propagates. A kill during the exit write can leave part
+        of the batch. A batch holds its encoded lines. Batches do not nest.
         """
         if self.read_only:
             raise StorageError("store opened read-only")
         if self._batch is not None:
             raise StorageError("a batch is already open on this store")
-        files = self._batch = {}
+        lines = self._batch = {}
         counts = dict(self._counts)
-        self._failed_put = None
+        files = []  # (file, length at batch start, created) per touched collection
         try:
             try:
                 yield
-                if self._failed_put is not None:  # the caller went on after a put raised
-                    raise StorageError(f"batch ended after a failed put: {self._failed_put}")
-                for fh, _, _ in files.values():
+                for collection, data in lines.items():
+                    path = self._path(collection)
+                    created = not path.exists()
+                    # Unbuffered, so closing the file cannot write a failed append again.
+                    fh = open(path, "ab", buffering=0)
+                    files.append((fh, fh.tell(), created))
+                    view = memoryview(data)
+                    while view:  # write(2) may put down less than asked; go on from there
+                        if not (written := fh.write(view)):
+                            raise OSError(f"short write: {len(view)} bytes of {path} left")
+                        view = view[written:]
+                for fh, _, _ in files:
                     os.fsync(fh.fileno())
-                if any(created for _, _, created in files.values()):
+                if any(created for _, _, created in files):
                     self._fsync_directory()
             except BaseException:
                 self._counts = counts
-                for fh, size, created in files.values():
+                for fh, size, created in files:
                     fh.truncate(size)
                     os.fsync(fh.fileno())
                     if created:
@@ -244,7 +253,7 @@ class DocumentStore:
                 raise
             finally:
                 self._batch = None
-                for fh, _, _ in files.values():
+                for fh, _, _ in files:
                     fh.close()
         except OSError as exc:
             raise StorageError(f"write failed in {self.directory}: {exc}") from exc
@@ -258,35 +267,21 @@ class DocumentStore:
             os.close(fd)
 
     def put(self, collection: str, body: dict) -> int:
-        """Validate and append one document; returns its doc_id.
+        """Validate and encode one document; returns its doc_id.
 
         Outside a batch the put is a batch of one: the document is durable
         when put returns, and a failed write or fsync leaves the file as it
-        was. Inside a batch the document becomes durable at batch exit.
+        was. Inside a batch the document is written at batch exit.
         """
         if self._batch is None:
             with self.batch():
                 return self.put(collection, body)
-        if self._failed_put is not None:
-            raise StorageError(f"an earlier put in this batch failed: {self._failed_put}")
         validate_body(collection, body)
         doc_id = self._counts[collection]
         raw = canonical_json(body).encode("utf-8")
-        line = b'{"body":%s,"doc_id":%d,"len":%d}\n' % (raw, doc_id, len(raw))
-        try:
-            entry = self._batch.get(collection)
-            if entry is None:
-                path = self._path(collection)
-                created = not path.exists()
-                # Unbuffered, so closing the file cannot write a failed line again.
-                fh = open(path, "ab", buffering=0)
-                entry = self._batch[collection] = (fh, fh.tell(), created)
-            written = entry[0].write(line)
-            if written != len(line):
-                raise OSError(f"short write: {written} of {len(line)} bytes")
-        except OSError as exc:
-            self._failed_put = exc
-            raise StorageError(f"write failed for {self._path(collection)}: {exc}") from exc
+        self._batch.setdefault(collection, bytearray()).extend(
+            b'{"body":%s,"doc_id":%d,"len":%d}\n' % (raw, doc_id, len(raw))
+        )
         self._counts[collection] = doc_id + 1
         return doc_id
 

@@ -763,10 +763,9 @@ class TestKmeansWork:
         assign = clustering._assign
 
         def counted(cols, centers):
-            d2, labels = assign(cols, centers)
             count["passes"] += 1
-            count["cells"] += d2.size
-            return d2, labels
+            count["cells"] += centers.shape[0] * cols.shape[1]
+            return assign(cols, centers)
 
         monkeypatch.setattr(clustering, "_assign", counted)
         return count
@@ -794,3 +793,21 @@ class TestClusterReport:
         assert lines[1] == "Cluster 0\t6.152541316281556 -75.35414111056795"
         assert lines[2] == "Cluster 1\t6.241243759319632 -75.57945209898037"
         assert len(lines) == len(centroids) + 1
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: KMeansConfig(k=0), "k must be positive, got 0"),
+        (lambda: KMeansConfig(k=2, max_iterations=0), "max_iterations and restarts must be positive"),
+        (lambda: KMeansConfig(k=2, restarts=0), "max_iterations and restarts must be positive"),
+        (lambda: KMeansConfig(k=2, seed=-1), "seed must be a non-negative integer, got -1"),
+        (lambda: XMeansConfig(k_min=0, k_max=3), "k_min must be positive, got 0"),
+        (lambda: DbscanConfig(min_pts=0), "min_pts must be positive, got 0"),
+    ],
+    ids=["k", "max-iterations", "restarts", "seed", "k-min", "min-pts"],
+)
+def test_config_rejections_are_named(build, message):
+    with pytest.raises(ConfigError) as excinfo:
+        build()
+    assert str(excinfo.value) == message

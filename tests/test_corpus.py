@@ -348,3 +348,10 @@ class TestBuildCorpusReference:
 def test_mean_helper_against_kahan():
     values = [6.2445419, 6.2520885, 6.18991, 6.354782] * 250
     assert kahan_mean(values) == pytest.approx(sum(values) / len(values), rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["some", "ANY", ""])
+def test_unknown_keyword_mode_rejected(mode):
+    with pytest.raises(ConfigError) as excinfo:
+        KeywordQuery(terms=("fiesta",), mode=mode)
+    assert str(excinfo.value) == f"keyword mode must be one of {KEYWORD_MODES}, got {mode!r}"

@@ -192,3 +192,9 @@ class TestDestinationPoint:
         dest = destination_point(center, bearing, radius)
         d = haversine_distance(center, dest)
         assert abs(d - radius) / max(radius, 1e-9) <= 1e-6
+
+
+@pytest.mark.parametrize("bearing", [math.nan, math.inf, -math.inf])
+def test_non_finite_bearing_rejected(bearing):
+    with pytest.raises(CoordinateError, match="non-finite bearing"):
+        destination_point(GeoPoint(6.2, -75.5), bearing, 1.0)

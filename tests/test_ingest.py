@@ -409,9 +409,39 @@ class TestReplaySource:
         (tmp_path / "dangling.json").symlink_to(tmp_path / "nosuch.json")
         (tmp_path / "sublink").symlink_to(tmp_path / "sub")
         expected = sorted(p for p in tmp_path.iterdir() if p.is_file() and not p.name.startswith("."))
-        assert ingest._replay_files(tmp_path) == expected
+        assert ingest._replay_files(tmp_path) == [p.name for p in expected]
         assert tmp_path / "link.json" in expected and tmp_path / "dangling.json" not in expected
 
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(ConfigError):
             list(replay_source(tmp_path, "video"))
+
+
+def search_page(page="1", pages="1", perpage="10", total="1", stub='<photo id="p1" title="t"/>') -> str:
+    return f'<photos page="{page}" pages="{pages}" perpage="{perpage}" total="{total}">{stub}</photos>'
+
+
+@pytest.mark.parametrize(
+    "parse, payload, path",
+    [
+        (parse_tweet, "[1, 2]", "tweet"),
+        (parse_tweet, '{"coordinates": [-75.5, 6.2]}', "tweet.coordinates"),
+        (parse_tweet, '{"coordinates": {"coordinates": ["-75.5", 6.2], "type": "Point"}}', "tweet.coordinates.coordinates"),
+        (parse_tweet, '{"source": 3, "text": "hola"}', "tweet.source"),
+        (parse_tweet, '{"source": "app", "text": ["hola"]}', "tweet.text"),
+        (parse_photo_search, search_page(page="0"), "photos.page"),
+        (parse_photo_search, search_page(pages="0"), "photos.page"),
+        (parse_photo_search, search_page(perpage="0"), "photos.page"),
+        (parse_photo_search, search_page(total="-1"), "photos.total"),
+        (parse_photo_search, search_page(stub='<photo id=""/>'), "photos.photo.id"),
+        (parse_photo_geo, '<photo id=""><location latitude="6.2" longitude="-75.5" accuracy="16"/></photo>', "photo.id"),
+    ],
+    ids=[
+        "tweet-not-object", "coordinates-not-object", "coordinates-not-numeric", "source-not-string",
+        "text-not-string", "page", "pages", "perpage", "total", "stub-id", "geo-entity-id",
+    ],
+)
+def test_schema_rejections_name_their_path(parse, payload, path):
+    with pytest.raises(SchemaError) as excinfo:
+        parse(payload)
+    assert excinfo.value.path == path

@@ -3,7 +3,9 @@ import io
 import json
 import os
 import stat
+import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -23,7 +25,7 @@ from geozones.cli import (
 )
 from geozones.clustering import DbscanConfig, KMeansConfig, XMeansConfig
 from geozones.corpus import BoundingBox, KeywordQuery
-from geozones.errors import EmptyCorpusError, StorageError
+from geozones.errors import ConfigError, EmptyCorpusError, StorageError
 from geozones.geo import GeoPoint
 from geozones.pipeline import PipelineConfig, run_pipeline
 from geozones.store import DocumentStore, canonical_json
@@ -253,6 +255,52 @@ class TestIngestAtomic:
         assert len(calls) == 3
         assert collection_files(store_dir) == before
         assert ingest_command(src, "tweet", store_dir).tweet_count == held + 5
+
+
+# A child ingest whose put number argv[3] kills the process, as a crash would.
+KILLED_AT_PUT = """
+import os, sys
+from geozones import cli, store
+
+put, kill_at, calls = store.DocumentStore.put, int(sys.argv[3]), []
+
+def put_killed_at(self, collection, body):
+    calls.append(collection)
+    if len(calls) == kill_at:
+        os._exit(9)
+    return put(self, collection, body)
+
+store.DocumentStore.put = put_killed_at
+cli.ingest_command(sys.argv[1], "tweet", sys.argv[2])
+"""
+
+
+class TestKilledIngest:
+    """A process killed at any put of an ingest leaves the store files as they were."""
+
+    def test_kill_at_a_put_leaves_the_store_as_it_was(self, tmp_path):
+        src = tweet_directory(tmp_path / "in", 50)
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+        children = []
+        for held in (0, 2):  # a store not yet created, and one holding records
+            clean = tmp_path / f"clean-{held}"
+            if held:
+                populate_store(clean, [GeoPoint(6.3, -75.6)] * held)
+            ingest_command(src, "tweet", clean, out=io.StringIO())
+            for kill_at in (1, 25, 50):
+                store_dir = tmp_path / f"killed-{held}-at-{kill_at}"
+                if held:
+                    populate_store(store_dir, [GeoPoint(6.3, -75.6)] * held)
+                argv = [sys.executable, "-c", KILLED_AT_PUT, str(src), str(store_dir), str(kill_at)]
+                child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+                children.append((child, store_dir, collection_files(store_dir), collection_files(clean)))
+        for child, store_dir, before, clean in children:
+            _, err = child.communicate(timeout=120)
+            assert child.returncode == 9, err
+            assert collection_files(store_dir) == before, store_dir.name
+            ingest_command(src, "tweet", store_dir, out=io.StringIO())
+            assert collection_files(store_dir) == clean, store_dir.name
 
 
 class TestIngestWork:
@@ -532,7 +580,10 @@ DEFAULT_BBOX = ["5.9", "6.6", "-75.8", "-75.1"]
 
 
 class TestCliContract:
-    """Whatever the eps, bbox and ``ZONE_SEED``, ``main`` returns 0, 1 or 2 and raises nothing."""
+    """Whatever the eps, bbox and ``ZONE_SEED``, ``main`` returns 0, 1 or 2 and raises nothing.
+
+    A negative number in any form ``float()`` accepts reads as a value, not as an option.
+    """
 
     @pytest.fixture(scope="class")
     def store(self, tmp_path_factory):
@@ -552,9 +603,39 @@ class TestCliContract:
     @example(eps="nan", bbox=["nan", "6.6", "-inf", "inf"], seed="-1")
     def test_exit_code_is_0_1_or_2(self, store, eps, bbox, seed):
         argv = ["pipeline", "--store", str(store), "--min-pts", "3", "--k-min", "1", "--k-max", "3"]
-        argv += [f"--eps-km={eps}", "--bbox", *bbox]  # a bbox value such as "-inf" reads as an option: exit 1
+        argv += [f"--eps-km={eps}", "--bbox", *bbox]
         with mock.patch.dict(os.environ), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             os.environ.pop("ZONE_SEED", None)
             if seed is not None:
                 os.environ["ZONE_SEED"] = seed
             assert main(argv) in (EXIT_OK, EXIT_ERROR, EXIT_EMPTY_CORPUS)
+
+    ARGV = ["pipeline", "--min-pts", "3", "--k-min", "1", "--k-max", "3"]
+
+    @staticmethod
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            os.environ.pop("ZONE_SEED", None)
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    def test_negative_exponent_reads_as_the_same_bound(self, store):
+        argv = self.ARGV + ["--store", str(store), "--bbox"]
+        code, plain, _ = self.run(argv + ["-0.00001", "6.6", "-75.8", "-75.1"])
+        assert code == EXIT_OK and plain.startswith("Cluster centers")
+        assert self.run(argv + ["-1e-05", "6.6", "-75.8", "-75.1"])[:2] == (EXIT_OK, plain)
+
+    @pytest.mark.parametrize("bound", ["-inf", "-Infinity", "-1E-5", "-.5e1"])
+    def test_negative_float_forms_read_as_values(self, store, bound):
+        assert self.run(self.ARGV + ["--store", str(store), "--bbox", bound, "6.6", "-75.8", "-75.1"])[0] == EXIT_OK
+
+    def test_negative_exponent_eps_is_a_config_error(self, store):
+        with pytest.raises(ConfigError) as expected:
+            DbscanConfig(eps_km=-1e-05)
+        code, out, err = self.run(self.ARGV + ["--store", str(store), "--eps-km", "-1e-05"])
+        assert (code, out, err) == (EXIT_ERROR, "", f"error: {expected.value}\n")
+
+    def test_help_still_prints(self):
+        code, out, _ = self.run(["pipeline", "-h"])
+        assert code == EXIT_OK and out.startswith("usage: geozones pipeline") and "--bbox" in out

@@ -260,21 +260,28 @@ class TestFailedPut:
 
 
 class FailingWrite:
-    """A file whose write number ``countdown[0]``, counted over every wrapper sharing the
-    list, puts down half of its data and then fails with ENOSPC (with ``short``, returns
-    the shorter count instead)."""
+    """A file whose write moves at most ``CAP`` bytes and returns that count, as write(2)
+    may. Its write number ``countdown[0]``, counted over every wrapper sharing the list,
+    moves half of that, and then, by ``mode``, fails with ENOSPC ("error"), returns the
+    shorter count and fails the next write with ENOSPC ("short"), or returns the shorter
+    count and lets the writes go on ("resumed")."""
 
-    def __init__(self, fh, countdown: list, short: bool):
-        self._fh, self._countdown, self._short = fh, countdown, short
+    CAP = 150
+
+    def __init__(self, fh, countdown: list, mode: str):
+        self._fh, self._countdown, self._mode = fh, countdown, mode
 
     def write(self, data):
         self._countdown[0] -= 1
-        if self._countdown[0]:
-            return self._fh.write(data)
-        written = self._fh.write(data[: len(data) // 2])
-        if self._short:
-            return written
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        share = data[: self.CAP]
+        if self._countdown[0] == 0:
+            share = share[: len(share) // 2]
+            if self._mode == "error":
+                self._fh.write(share)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        elif self._countdown[0] == -1 and self._mode == "short":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self._fh.write(share)
 
     def __getattr__(self, name):
         return getattr(self._fh, name)
@@ -315,20 +322,48 @@ class TestBatch:
         assert store.put("tweet", VALID_TWEET) == held
         assert store.put("photo", VALID_PHOTO) == held
 
+    def patch_writes(self, monkeypatch, k, mode):
+        countdown = [k]
+        monkeypatch.setattr(
+            store_module, "open", lambda *a, **kw: FailingWrite(builtins.open(*a, **kw), countdown, mode), raising=False
+        )
+        return countdown
+
+    # Puts only encode, so k counts the calls of the exit write: at FailingWrite.CAP bytes
+    # a call, the tweets' 423 bytes take calls 1-3 and the photos' 198 bytes calls 4-5.
     @pytest.mark.parametrize("state", ["empty", "seeded"])
-    @pytest.mark.parametrize("short", [False, True], ids=["error", "short"])
+    @pytest.mark.parametrize("mode", ["error", "short"])
     @pytest.mark.parametrize("k", [1, 2, 4, 5])
-    def test_write_failing_at_kth_put(self, tmp_path, monkeypatch, state, short, k):
+    def test_write_failing_at_kth_put(self, tmp_path, monkeypatch, state, mode, k):
         with self.open_store(tmp_path, state) as store:
             before = self.files(tmp_path)
-            countdown = [k]
-            monkeypatch.setattr(
-                store_module, "open", lambda *a, **kw: FailingWrite(builtins.open(*a, **kw), countdown, short), raising=False
-            )
-            with pytest.raises(StorageError, match="No space left|short write"):
+            self.patch_writes(monkeypatch, k, mode)
+            with pytest.raises(StorageError, match="No space left"):
                 self.run_batch(store)
             monkeypatch.undo()
             self.assert_as_before(store, tmp_path, before, state)
+
+    @pytest.mark.parametrize("state", ["empty", "seeded"])
+    @pytest.mark.parametrize("k", [1, 2, 4, 5])
+    def test_partial_writes_resume(self, tmp_path, monkeypatch, state, k):
+        with self.open_store(tmp_path / "clean", state) as store:
+            self.run_batch(store)
+        with self.open_store(tmp_path / "capped", state) as store:
+            countdown = self.patch_writes(monkeypatch, k, "resumed")
+            self.run_batch(store)
+            monkeypatch.undo()
+        assert countdown[0] < 0  # call k was halved, and the exit write went on after it
+        assert self.files(tmp_path / "capped") == self.files(tmp_path / "clean")
+
+    @pytest.mark.parametrize("state", ["empty", "seeded"])
+    def test_no_file_changes_before_exit(self, tmp_path, state):
+        with self.open_store(tmp_path, state) as store:
+            before = self.files(tmp_path)
+            with store.batch():
+                for collection, body in self.PUTS * 40:
+                    store.put(collection, body)
+                    assert self.files(tmp_path) == before
+            assert self.files(tmp_path) != before
 
     @pytest.mark.parametrize("state, failing", [("seeded", 1), ("seeded", 2), ("empty", 1), ("empty", 3)])
     def test_fsync_failing_at_exit(self, tmp_path, monkeypatch, state, failing):
@@ -360,22 +395,21 @@ class TestBatch:
                     raise ValueError("caller gave up")
             self.assert_as_before(store, tmp_path, before, state)
 
-    def test_caller_going_on_after_a_failed_put(self, tmp_path, monkeypatch):
-        # The failed put left half a line, so nothing after it may be kept either.
+    def test_caller_going_on_after_a_failed_put(self, tmp_path):
+        # A put that fails validation encodes nothing and takes no doc_id; the batch goes on.
         with self.open_store(tmp_path, "seeded") as store:
-            before = self.files(tmp_path)
-            countdown = [2]
-            monkeypatch.setattr(
-                store_module, "open", lambda *a, **kw: FailingWrite(builtins.open(*a, **kw), countdown, False), raising=False
-            )
-            with pytest.raises(StorageError, match="after a failed put"):
-                with store.batch():
-                    store.put(*self.PUTS[0])
-                    for collection, body in self.PUTS[1:]:
-                        with pytest.raises(StorageError):
-                            store.put(collection, body)
-            monkeypatch.undo()
-            self.assert_as_before(store, tmp_path, before, "seeded")
+            with store.batch():
+                ids = []
+                for collection, body in self.PUTS:
+                    with pytest.raises(SchemaError):
+                        store.put(collection, {})
+                    ids.append(store.put(collection, body))
+            assert ids == [1, 1, 2, 2, 3]
+            docs = {c: [(d.doc_id, d.body) for d in store.scan(c)] for c in COLLECTIONS}
+        assert docs == {
+            c: list(enumerate([held] + [b for col, b in self.PUTS if col == c]))
+            for c, held in (("tweet", VALID_TWEET), ("photo", VALID_PHOTO))
+        }
 
     @pytest.mark.parametrize(
         "state, puts, synced",
@@ -721,3 +755,47 @@ class TestBodyBuilders:
     def test_photo_body_shape(self):
         record = PhotoRecord(photo_id="1", name="parque", location=GeoPoint(6.24, -75.58), accuracy=6)
         assert photo_body(record) == VALID_PHOTO
+
+
+def put_into(collection, body):
+    def act(directory):
+        with DocumentStore(directory) as store:
+            store.put(collection, body)
+
+    return act
+
+
+def scan_of(collection):
+    def act(directory):
+        (directory / "tweet.jsonl").mkdir()  # a collection file that cannot be opened
+        with DocumentStore(directory, read_only=True) as store:
+            list(store.scan(collection))
+
+    return act
+
+
+def open_under_a_file(directory):
+    (directory / "file").write_text("", encoding="utf-8")
+    DocumentStore(directory / "file" / "store")
+
+
+@pytest.mark.parametrize(
+    "act, error, path, message",
+    [
+        (put_into("photo", {"geo": dict(VALID_PHOTO["geo"], latitude="6.24"), "name": "x"}), SchemaError,
+         "photo.geo.latitude", "must be a number"),
+        (put_into("photo", dict(VALID_PHOTO, name=5)), SchemaError, "photo.name", "must be a string"),
+        (put_into("photo", {"geo": dict(VALID_PHOTO["geo"], accuracy=6.0), "name": "x"}), SchemaError,
+         "photo.geo.accuracy", "must be an integer"),
+        (put_into("video", VALID_TWEET), SchemaError, "video", "unknown collection"),
+        (scan_of("video"), SchemaError, "video", "unknown collection"),
+        (open_under_a_file, StorageError, None, "cannot create store directory"),
+        (scan_of("tweet"), StorageError, None, "scan failed for"),
+    ],
+    ids=["non-number", "non-string", "non-integer-accuracy", "put-unknown-collection", "scan-unknown-collection",
+         "uncreatable-directory", "scan-os-error"],
+)
+def test_named_rejections(tmp_path, act, error, path, message):
+    with pytest.raises(error, match=message) as excinfo:
+        act(tmp_path)
+    assert getattr(excinfo.value, "path", None) == path

@@ -43,6 +43,7 @@ class Mutation(NamedTuple):
 
 
 CLUSTERING = "src/geozones/clustering.py"
+STORE = "src/geozones/store.py"
 KMEANS_REF = "tests/test_clustering.py::test_kmeans_equals_frozen_reference"
 CHAIN_REF = "tests/test_pipeline_reference.py::TestPipelineReference::test_equals_reference_chain"
 CORPUS_REF = "tests/test_corpus.py::TestBuildCorpusReference::test_equals_per_record_reference"
@@ -60,8 +61,8 @@ REGISTRY = (
     Mutation(
         "argmin-tie-to-higher-index",
         CLUSTERING,
-        "return d2, d2.argmin(axis=0)",
-        "return d2, d2.shape[0] - 1 - d2[::-1].argmin(axis=0)",
+        "labels = d2.argmin(axis=0)",
+        "labels = d2.shape[0] - 1 - d2[::-1].argmin(axis=0)",
         (KMEANS_REF, CHAIN_REF),
     ),
     Mutation(
@@ -122,6 +123,27 @@ REGISTRY = (
         ("tests/test_pipeline.py::TestIngestWork::test_fsyncs_per_ingest_run",),
     ),
     Mutation(
+        "batch-rollback-keeps-data",
+        STORE,
+        "fh.truncate(size)",
+        "pass",
+        ("tests/test_store.py::TestBatch::test_fsync_failing_at_exit",),
+    ),
+    Mutation(
+        "batch-counts-not-restored",
+        STORE,
+        "self._counts = counts",
+        "pass",
+        ("tests/test_store.py::TestBatch::test_caller_exception",),
+    ),
+    Mutation(
+        "exit-write-stops-at-a-partial-write",
+        STORE,
+        "view = view[written:]",
+        "break",
+        ("tests/test_store.py::TestBatch::test_partial_writes_resume",),
+    ),
+    Mutation(
         "photo-integers-without-int-form",
         "src/geozones/ingest.py",
         "if INT_FORM.fullmatch(raw):",
@@ -130,7 +152,7 @@ REGISTRY = (
     ),
     Mutation(
         "check-str-without-encode",
-        "src/geozones/store.py",
+        STORE,
         '        value.encode("utf-8")\n    except UnicodeEncodeError:  # a lone surrogate cannot be written',
         "        pass\n    except UnicodeEncodeError:",
         (
@@ -140,7 +162,7 @@ REGISTRY = (
     ),
     Mutation(
         "require-without-type-error",
-        "src/geozones/store.py",
+        STORE,
         "except (KeyError, TypeError):  # the key is missing, or ``body`` is no object",
         "except KeyError:",
         ("tests/test_store.py::TestLineContract::test_any_line_reads_or_names_its_line",),
